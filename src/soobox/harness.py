@@ -134,21 +134,35 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def trace_csv_text(result: RunResult, f_star: float | None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["eval_index", "best_value", "ratio"])
+    """The trace as CSV rows `eval_index,best_value,ratio`, one per evaluation.
+
+    The best-so-far value repeats over long runs of rows, so its text (and
+    its ratio's) is formatted once per distinct value object.  No field
+    can contain a delimiter or quote, so rows are joined directly.
+    """
+    with_ratio = f_star not in (None, 0.0)
+    lines = ["eval_index,best_value,ratio"]
+    last = tail = None
     for index, value in result.trace:
-        ratio = "" if f_star in (None, 0.0) else _fmt(value / f_star)
-        writer.writerow([index, _fmt(value), ratio])
-    return buf.getvalue()
+        if value is not last:
+            last = value
+            ratio = _fmt(value / f_star) if with_ratio else ""
+            tail = f"{_fmt(value)},{ratio}"
+        lines.append(f"{index},{tail}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float]]:
-    """Parse a trace file back to (eval_index, best_value) pairs."""
+    """Parse a trace file back to (eval_index, best_value) pairs.
+
+    Raises ValueError when the file does not start with the trace header.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        assert header[:2] == ["eval_index", "best_value"]
+        header = next(reader, [])
+        if header[:2] != ["eval_index", "best_value"]:
+            raise ValueError(f"{path} is not a trace file: header {header!r}")
         return [(int(row[0]), float(row[1])) for row in reader]
 
 

@@ -195,7 +195,9 @@ class Objective:
 
     evaluate() raises BudgetExhausted once the meter reaches the budget and
     OutOfBounds for points outside the box; neither failure advances the
-    meter.  Values come back verbatim, including non-finite ones.
+    meter.  The meter counts returned values only: an evaluation whose
+    function raises is not metered.  Values come back verbatim, including
+    non-finite ones.
     """
 
     def __init__(
@@ -245,7 +247,20 @@ class Objective:
     def remaining(self) -> int:
         return self.budget - self.meter
 
+    def _require_inside(self, points: Array) -> None:
+        # Counting comparisons is cheaper than np.all over their conjunction
+        # and also rejects NaN coordinates, which fail both comparisons.
+        inside = np.count_nonzero(self.lower <= points)
+        inside += np.count_nonzero(points <= self.upper)
+        if inside != 2 * points.size:
+            raise OutOfBounds("point lies outside the objective's box")
+
     def evaluate(self, x) -> float:
+        """f(x) for one point.
+
+        The meter advances only when the function returns; if it raises,
+        the exception propagates and nothing is metered.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:
             raise ValueError(f"expected a point of dimension {self.dim}")
@@ -253,11 +268,34 @@ class Objective:
             raise BudgetExhausted(
                 f"budget of {self.budget} evaluations already consumed"
             )
-        if not np.all((self.lower <= x) & (x <= self.upper)):
-            # also rejects NaN coordinates, which fail both comparisons
-            raise OutOfBounds("point lies outside the objective's box")
+        self._require_inside(x)
+        value = float(self._fn(x))
         self.meter += 1
-        return float(self._fn(x))
+        return value
+
+    def evaluate_batch(self, points) -> list[float]:
+        """f at each row of an (m, dim) block, metered as one step.
+
+        One shape, budget and bounds check covers the whole block, and the
+        function is still called on each 1-D row, so every value is
+        bit-identical to evaluate() on that row.  The batch is
+        all-or-nothing: the meter advances by m only when every call
+        returned; if any raises, the exception propagates and nothing is
+        metered.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.lower.size:
+            raise ValueError(f"expected an (m, {self.dim}) block of points")
+        m = len(points)
+        if self.meter + m > self.budget:
+            raise BudgetExhausted(
+                f"batch of {m} evaluations exceeds the {self.remaining} left"
+            )
+        self._require_inside(points)
+        fn = self._fn
+        values = [float(fn(row)) for row in points]
+        self.meter += m
+        return values
 
     def raw(self, x) -> float:
         """Evaluate without metering or bounds checks (testing oracle)."""

@@ -98,13 +98,23 @@ class RunResult:
         return [v for _, v in self.trace]
 
     def check(self) -> None:
-        """Assert the trace contract; cheap enough to call in tests."""
-        assert len(self.trace) == self.evals_used
+        """Validate the trace contract, raising ValueError on a breach.
+
+        One row per evaluation, indices 1..n, best-so-far monotone
+        non-increasing (non-finite values sort last), and the last row
+        matching best_value.  Cheap enough to call in tests.
+        """
+        if len(self.trace) != self.evals_used:
+            raise ValueError(
+                f"trace has {len(self.trace)} rows for {self.evals_used} evaluations"
+            )
         prev_key = math.inf
         for pos, (idx, val) in enumerate(self.trace, start=1):
-            assert idx == pos
+            if idx != pos:
+                raise ValueError(f"trace row {pos} has index {idx}")
             key = value_key(val)
-            assert key <= prev_key or (pos == 1)
-            prev_key = min(prev_key, key)
-        if self.trace:
-            assert value_key(self.trace[-1][1]) == value_key(self.best_value)
+            if key > prev_key:
+                raise ValueError(f"trace row {pos} rises to {val!r}")
+            prev_key = key
+        if self.trace and value_key(self.trace[-1][1]) != value_key(self.best_value):
+            raise ValueError("last trace row differs from best_value")

@@ -22,9 +22,11 @@ are available for study.
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import isfinite
 
 import numpy as np
 
@@ -112,19 +114,55 @@ class SooParams:
             )
 
 
-@dataclass(slots=True)
 class Cell:
-    """One box of the partition, evaluated at its center."""
+    """Read-only view of one box of the partition, evaluated at its center.
 
-    id: int
-    depth: int
-    lower: Array
-    upper: Array
-    center: Array
-    value: float
-    split_dim: int
-    parent: int | None = None
-    is_leaf: bool = True
+    The box arrays are read-only views into the tree's storage.  A view
+    holds its tree; the tree never holds a view.
+    """
+
+    __slots__ = ("_tree", "id")
+
+    def __init__(self, tree: "PartitionTree", cell_id: int):
+        self._tree = tree
+        self.id = cell_id
+
+    def _row(self, rows: Array) -> Array:
+        row = rows[self.id]
+        row.flags.writeable = False
+        return row
+
+    @property
+    def lower(self) -> Array:
+        return self._row(self._tree._lower)
+
+    @property
+    def upper(self) -> Array:
+        return self._row(self._tree._upper)
+
+    @property
+    def center(self) -> Array:
+        return self._row(self._tree._center)
+
+    @property
+    def value(self) -> float:
+        return self._tree._value[self.id]
+
+    @property
+    def depth(self) -> int:
+        return self._tree._depth[self.id]
+
+    @property
+    def split_dim(self) -> int:
+        return self._tree._split_dim[self.id]
+
+    @property
+    def parent(self) -> int | None:
+        return self._tree._parent[self.id]
+
+    @property
+    def is_leaf(self) -> bool:
+        return self._tree._is_leaf[self.id]
 
     @property
     def value_key(self) -> float:
@@ -135,13 +173,39 @@ class Cell:
         return float(np.prod(self.upper - self.lower))
 
 
+class CellsView(Sequence):
+    """Read-only sequence of Cell views over a tree's cells, indexed by id."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: "PartitionTree"):
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return self._tree._n
+
+    def __getitem__(self, index):
+        ids = range(self._tree._n)[index]
+        if isinstance(index, slice):
+            return [Cell(self._tree, i) for i in ids]
+        return Cell(self._tree, ids)
+
+
 # ---------------------------------------------------------------------------
 # the tree
 # ---------------------------------------------------------------------------
 
+_INITIAL_ROWS = 256
+
 
 class PartitionTree:
     """Partition state plus the evaluation meter and trace for one run.
+
+    Cells live in rows of preallocated (rows, D) arrays for their lower
+    corners, upper corners and centers, plus per-cell lists of value,
+    depth, split dimension, parent id and leaf flag; a cell's id is its
+    row.  Storage doubles as needed, capped at the most cells the budget
+    can pay for: the root plus S per affordable split.
 
     Leaves are tracked per depth in lazy-deletion min-heaps keyed by
     (value_key, id), so each sweep touches only the depths it visits and
@@ -168,20 +232,41 @@ class PartitionTree:
         self.objective = objective
         self.eval_budget = None if eval_budget is None else int(eval_budget)
         self.dim = lower.size
-        self.cells: list[Cell] = []
         self.split_log: list[int] = []
         self.trace = TraceRecorder()
         self.eval_count = 0
         self.max_leaf_depth = 0
-        self._heaps: dict[int, list[tuple[float, int]]] = {}
 
-        self._ensure_capacity(1)
+        s = self.params.s_children
+        mid = (s - 1) // 2
+        # rows of a split's block that need a fresh evaluation, and the
+        # multipliers k of its slab edges lo + k * step
+        self._fresh_rows = np.array([k for k in range(s) if k != mid], dtype=np.intp)
+        self._edge_k = np.arange(s + 1, dtype=float)
+
+        self._require_budget(1)
+        self._max_rows = 1 + s * ((self.remaining - 1) // (s - 1))
         center = (lower + upper) / 2.0
-        value = self._evaluate(center)
-        root = Cell(0, 0, lower.copy(), upper.copy(), center, value, split_dim=0)
-        self.cells.append(root)
-        heapq.heappush(self._heaps.setdefault(0, []), (root.value_key, 0))
-        self._best = (root.value_key, 0)
+        value = self.objective.evaluate(center)
+        self.eval_count = 1
+        self.trace.record(value)
+
+        rows = min(_INITIAL_ROWS, self._max_rows)
+        self._lower = np.empty((rows, self.dim))
+        self._upper = np.empty((rows, self.dim))
+        self._center = np.empty((rows, self.dim))
+        self._lower[0] = lower
+        self._upper[0] = upper
+        self._center[0] = center
+        self._value: list[float] = [value]
+        self._depth: list[int] = [0]
+        self._split_dim: list[int] = [0]
+        self._parent: list[int | None] = [None]
+        self._is_leaf: list[bool] = [True]
+        self._n = 1
+        key = value_key(value)
+        self._heaps: dict[int, list[tuple[float, int]]] = {0: [(key, 0)]}
+        self._best_key, self._best_id = key, 0
 
     # -- evaluation plumbing ------------------------------------------------
 
@@ -192,92 +277,113 @@ class PartitionTree:
             left = min(left, self.eval_budget - self.eval_count)
         return left
 
-    def _ensure_capacity(self, needed: int) -> None:
+    def _require_budget(self, needed: int) -> None:
         if self.remaining < needed:
             raise BudgetExhausted(
                 f"need {needed} evaluations, only {self.remaining} left"
             )
 
-    def _evaluate(self, x: Array) -> float:
-        value = self.objective.evaluate(x)
-        self.eval_count += 1
-        self.trace.record(value)
-        return value
+    def _grow(self, needed: int) -> None:
+        """Reallocate the row arrays to hold at least `needed` cells."""
+        rows = max(needed, min(2 * len(self._lower), self._max_rows))
+        n = self._n
+        for name in ("_lower", "_upper", "_center"):
+            grown = np.empty((rows, self.dim))
+            grown[:n] = getattr(self, name)[:n]
+            setattr(self, name, grown)
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def cells(self) -> CellsView:
+        """Read-only views of every cell, indexed by id (a fresh view per access)."""
+        return CellsView(self)
 
     def split_leaf(self, leaf_id: int) -> list[int]:
         """Split a leaf into S slabs along its scheduled dimension.
 
-        Costs exactly S - 1 evaluations, taken all-or-nothing: when the
-        remaining budget cannot cover a full split the tree is left
-        untouched and BudgetExhausted is raised.  Returns the child ids in
-        coordinate order.
+        Costs exactly S - 1 evaluations, taken all-or-nothing: the fresh
+        centers are evaluated as one batch before the tree changes, so when
+        the budget cannot cover a full split (BudgetExhausted) or the
+        objective raises, the tree, its trace and the objective's meter are
+        left untouched.  Returns the child ids in coordinate order.
         """
-        if not 0 <= leaf_id < len(self.cells):
+        n = self._n
+        if not 0 <= leaf_id < n:
             raise ValueError(f"no cell with id {leaf_id}")
-        cell = self.cells[leaf_id]
-        if not cell.is_leaf:
+        if not self._is_leaf[leaf_id]:
             raise NotALeaf(f"cell {leaf_id} was already split")
         s = self.params.s_children
-        self._ensure_capacity(s - 1)
+        self._require_budget(s - 1)
+        end = n + s
+        if end > len(self._lower):
+            self._grow(end)
 
-        d = cell.split_dim
-        lo_d = cell.lower[d]
-        up_d = cell.upper[d]
-        step = (up_d - lo_d) / s
-        # Shared interior edges are computed once so adjacent children have
-        # bit-identical boundaries; the outer edges reuse the parent's.
-        edges = np.empty(s + 1)
+        # The children fill rows n..end-1, which stay invisible until the
+        # commit below.  Shared interior edges are computed once so
+        # adjacent children have bit-identical boundaries; the outer edges
+        # reuse the parent's.
+        lower, upper, center = self._lower, self._upper, self._center
+        d = self._split_dim[leaf_id]
+        lo_d = lower.item(leaf_id, d)
+        up_d = upper.item(leaf_id, d)
+        edges = lo_d + self._edge_k * ((up_d - lo_d) / s)
         edges[0] = lo_d
         edges[s] = up_d
-        for k in range(1, s):
-            edges[k] = lo_d + k * step
-
+        lo = lower[n:end]
+        up = upper[n:end]
+        lo[:] = lower[leaf_id]
+        up[:] = upper[leaf_id]
+        lo[:, d] = edges[:-1]
+        up[:, d] = edges[1:]
+        centers = center[n:end]
+        np.add(lo, up, out=centers)  # (lo + up) / 2.0, row by row
+        centers /= 2.0
+        # Center reuse: the middle slab keeps the parent's center point and
+        # value without a fresh evaluation.
         mid = (s - 1) // 2
-        child_depth = cell.depth + 1
-        next_dim = (d + 1) % self.dim
-        heap = self._heaps.setdefault(child_depth, [])
-        child_ids: list[int] = []
-        for k in range(s):
-            lo = cell.lower.copy()
-            up = cell.upper.copy()
-            lo[d] = edges[k]
-            up[d] = edges[k + 1]
-            if k == mid:
-                # Center reuse: the middle slab keeps the parent's center
-                # point and value without a fresh evaluation.
-                center = cell.center.copy()
-                value = cell.value
-            else:
-                center = (lo + up) / 2.0
-                value = self._evaluate(center)
-            cid = len(self.cells)
-            child = Cell(
-                cid, child_depth, lo, up, center, value, next_dim, parent=leaf_id
-            )
-            self.cells.append(child)
-            heapq.heappush(heap, (child.value_key, cid))
-            if (child.value_key, cid) < self._best:
-                self._best = (child.value_key, cid)
-            child_ids.append(cid)
+        centers[mid] = center[leaf_id]
+        fresh = self.objective.evaluate_batch(centers[self._fresh_rows])
 
-        cell.is_leaf = False
+        parent_value = self._value[leaf_id]
+        values = fresh[:mid] + [parent_value] + fresh[mid:]
+        child_depth = self._depth[leaf_id] + 1
+        heap = self._heaps.setdefault(child_depth, [])
+        best_key = self._best_key
+        for cid, value in enumerate(values, start=n):
+            key = value if isfinite(value) else math.inf
+            heappush(heap, (key, cid))
+            if key < best_key:
+                best_key = key
+                self._best_id = cid
+        self._best_key = best_key
+        record = self.trace.record
+        for value in fresh:
+            record(value)
+        self.eval_count += s - 1
+        self._value.extend(values)
+        self._depth.extend([child_depth] * s)
+        self._split_dim.extend([(d + 1) % self.dim] * s)
+        self._parent.extend([leaf_id] * s)
+        self._is_leaf.extend([True] * s)
+        self._is_leaf[leaf_id] = False
+        self._n = end
         self.split_log.append(leaf_id)
         if child_depth > self.max_leaf_depth:
             self.max_leaf_depth = child_depth
-        return child_ids
+        return list(range(n, end))
 
     def _peek_leaf(self, depth: int) -> tuple[float, int] | None:
         """Best (value_key, id) among leaves at a depth, lazily pruning."""
         heap = self._heaps.get(depth)
         if not heap:
             return None
+        is_leaf = self._is_leaf
         while heap:
             key, cid = heap[0]
-            if self.cells[cid].is_leaf:
+            if is_leaf[cid]:
                 return key, cid
-            heapq.heappop(heap)
+            heappop(heap)
         return None
 
     def sweep(self) -> list[int]:
@@ -324,12 +430,12 @@ class PartitionTree:
         middle children share their ancestor's value but carry larger ids,
         so a reused center never displaces the cell that paid for it.
         """
-        _, cid = self._best
-        cell = self.cells[cid]
-        return cell.center.copy(), cell.value, cid
+        cid = self._best_id
+        return self._center[cid].copy(), self._value[cid], cid
 
     def leaves(self):
-        return (c for c in self.cells if c.is_leaf)
+        """Views of the current leaves, in id order."""
+        return (Cell(self, i) for i in range(self._n) if self._is_leaf[i])
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +484,9 @@ class _NegatedObjective:
 
     def evaluate(self, x) -> float:
         return -self._base.evaluate(x)
+
+    def evaluate_batch(self, points) -> list[float]:
+        return [-v for v in self._base.evaluate_batch(points)]
 
 
 def run_soo(

@@ -1,16 +1,20 @@
 """Tests for experiment configs, file artifacts, grids, and the CLI."""
 
 import csv
+import io
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soobox import (
     DepthSchedule,
     RunConfig,
+    RunResult,
     compare_budgets,
     make_objective,
     run_algorithm,
@@ -19,7 +23,91 @@ from soobox import (
     run_soo,
 )
 from soobox.cli import main
-from soobox.harness import read_trace_csv
+from soobox.harness import read_trace_csv, trace_csv_text
+
+# =============================================================================
+# Trace CSV text and the trace contract
+# =============================================================================
+
+
+def csv_writer_trace_text(result, f_star):
+    """Reference: the trace CSV as csv.writer formats it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["eval_index", "best_value", "ratio"])
+    for index, value in result.trace:
+        ratio = "" if f_star in (None, 0.0) else format(value / f_star, ".17g")
+        writer.writerow([index, format(value, ".17g"), ratio])
+    return buf.getvalue()
+
+
+TRACE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 123.456, -7.0, 1e308]
+
+
+def _result_with_trace(values):
+    trace = [(i, v) for i, v in enumerate(values, start=1)]
+    return RunResult(
+        best_point=np.zeros(1), best_value=values[-1] if values else math.nan,
+        evals_used=len(values), trace=trace,
+    )
+
+
+class TestTraceCsv:
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, len(TRACE_VALUES) - 1), st.integers(1, 4)),
+            max_size=20,
+        ),
+        f_star=st.sampled_from([None, 0.0, -0.0, 100.0, -3.5, 1e-300]),
+        fresh_objects=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_csv_writer(self, picks, f_star, fresh_objects):
+        # Runs of one value object (as TraceRecorder produces) and equal
+        # values held in distinct objects must both format as before.
+        values = []
+        for pick, repeat in picks:
+            value = TRACE_VALUES[pick]
+            values += [float(str(value)) if fresh_objects else value] * repeat
+        result = _result_with_trace(values)
+        assert trace_csv_text(result, f_star) == csv_writer_trace_text(result, f_star)
+
+    @pytest.mark.parametrize("f_star", [None, 0.0, 100.0, -250.0])
+    def test_real_run_bytes_equal_csv_writer(self, f_star):
+        result = run_algorithm(RunConfig(function="rastrigin", dim=3, budget=2000))
+        assert trace_csv_text(result, f_star) == csv_writer_trace_text(result, f_star)
+
+    def test_bad_header_rejected(self, tmp_path):
+        for text in ("index,value\n1,2.0\n", ""):
+            path = tmp_path / "bad.csv"
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_trace_csv(path)
+
+
+class TestTraceContract:
+    def test_valid_trace_passes(self):
+        _result_with_trace([3.0, 2.0, 2.0, 1.0]).check()
+        _result_with_trace([math.nan, 5.0, 5.0]).check()
+
+    @pytest.mark.parametrize(
+        "trace, evals_used, best",
+        [
+            ([(1, 2.0), (2, 3.0)], 2, 3.0),  # best-so-far rises
+            ([(1, 2.0), (2, math.nan)], 2, math.nan),  # rises to non-finite
+            ([(1, 2.0), (3, 1.0)], 2, 1.0),  # skipped index
+            ([(1, 2.0)], 2, 2.0),  # fewer rows than evaluations
+            ([(1, 2.0), (2, 1.0)], 2, 2.0),  # last row is not best_value
+        ],
+    )
+    def test_broken_trace_raises(self, trace, evals_used, best):
+        result = RunResult(
+            best_point=np.zeros(1), best_value=best, evals_used=evals_used,
+            trace=trace,
+        )
+        with pytest.raises(ValueError):
+            result.check()
+
 
 # =============================================================================
 # Config validation and budget resolution

@@ -171,6 +171,72 @@ class TestMetering:
         assert math.isnan(obj.evaluate([0.5]))
         assert obj.meter == 1
 
+    def test_raising_function_is_not_metered(self):
+        def fn(x):
+            raise RuntimeError("boom")
+
+        obj = Objective(fn, [0.0], [1.0], budget=2)
+        with pytest.raises(RuntimeError):
+            obj.evaluate([0.5])
+        with pytest.raises(RuntimeError):
+            obj.evaluate_batch([[0.5], [0.25]])
+        assert obj.meter == 0
+
+
+class TestEvaluateBatch:
+    """One metered, bounds-checked, all-or-nothing step for a block of points."""
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_values_bit_identical_to_evaluate(self, name):
+        rng = np.random.default_rng(7)
+        points = rng.uniform(-5.0, 5.0, size=(6, 10))
+        batch = make_objective(name, 10, budget=6)
+        single = make_objective(name, 10, budget=6)
+        assert batch.evaluate_batch(points) == [single.evaluate(p) for p in points]
+        assert batch.meter == single.meter == 6
+
+    def test_meter_advances_once_by_the_block(self):
+        obj = make_objective("sphere", 2, budget=5)
+        values = obj.evaluate_batch(np.zeros((3, 2)))
+        assert len(values) == 3
+        assert obj.meter == 3
+
+    def test_block_beyond_budget_rejected_whole(self):
+        obj = make_objective("sphere", 2, budget=2)
+        obj.evaluate([0.0, 0.0])
+        with pytest.raises(BudgetExhausted):
+            obj.evaluate_batch(np.zeros((2, 2)))
+        assert obj.meter == 1
+
+    def test_one_bad_row_rejects_block_without_metering(self):
+        obj = make_objective("sphere", 2, budget=5)
+        for bad in ([5.1, 0.0], [0.0, -5.0000001], [math.nan, 0.0]):
+            with pytest.raises(OutOfBounds):
+                obj.evaluate_batch([[0.0, 0.0], bad])
+        assert obj.meter == 0
+
+    def test_failure_mid_block_meters_nothing(self):
+        calls = []
+
+        def fn(x):
+            calls.append(float(x[0]))
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return float(x[0])
+
+        obj = Objective(fn, [0.0], [1.0], budget=5)
+        with pytest.raises(RuntimeError):
+            obj.evaluate_batch([[0.1], [0.2], [0.3]])
+        assert calls == [0.1, 0.2]
+        assert obj.meter == 0
+
+    def test_wrong_shape_rejected(self):
+        obj = make_objective("sphere", 2, budget=5)
+        for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError):
+                obj.evaluate_batch(bad)
+        assert obj.meter == 0
+
 
 # =============================================================================
 # Custom objectives and bounds validation

@@ -1,6 +1,8 @@
 """Tests for the partition tree, sweeps, depth schedules, and run_soo."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -137,6 +139,70 @@ class TestCellGeometry:
         assert widths[1] == 10.0
 
 
+class TestCellViews:
+    """tree.cells and leaves() are read-only views over the tree's storage."""
+
+    def test_views_are_read_only(self):
+        obj = linear_objective()
+        tree = new_tree((obj.lower, obj.upper), obj)
+        split_leaf(tree, 0)
+        cell = tree.cells[1]
+        for row in (cell.lower, cell.upper, cell.center):
+            with pytest.raises(ValueError):
+                row[0] = 0.25
+        with pytest.raises(AttributeError):
+            cell.value = 0.0
+        with pytest.raises(TypeError):
+            tree.cells[0] = cell
+
+    def test_sequence_protocol(self):
+        obj = linear_objective()
+        tree = new_tree((obj.lower, obj.upper), obj)
+        split_leaf(tree, 0)
+        cells = tree.cells
+        assert len(cells) == 4
+        assert [c.id for c in cells] == [0, 1, 2, 3]
+        assert [c.id for c in cells[1:]] == [1, 2, 3]
+        assert cells[-1].id == 3
+        with pytest.raises(IndexError):
+            cells[4]
+        assert [c.id for c in tree.leaves()] == [1, 2, 3]
+        assert cells[2].parent == 0 and cells[0].parent is None
+
+    def test_storage_grows_past_initial_rows(self):
+        # Thousands of cells force several reallocations; views taken
+        # before a reallocation keep reading the same boxes.
+        obj = make_objective("sphere", 2, budget=10**6)
+        tree = new_tree((obj.lower, obj.upper), obj)
+        split_leaf(tree, 0)
+        first = tree.cells[1]
+        before = first.lower.copy()
+        cid = 1
+        while len(tree.cells) < 5000:
+            split_leaf(tree, cid)
+            cid += 1
+        assert np.array_equal(first.lower, before)
+        assert np.array_equal(tree.cells[1].lower, before)
+        child = tree.cells[4999]
+        parent = tree.cells[child.parent]
+        assert np.all(parent.lower <= child.lower)
+        assert np.all(child.upper <= parent.upper)
+
+    def test_tree_is_freed_without_a_cycle_collection(self):
+        obj = linear_objective()
+        tree = new_tree((obj.lower, obj.upper), obj)
+        sweep(tree)
+        list(tree.cells)
+        list(tree.leaves())
+        ref = weakref.ref(tree)
+        gc.disable()
+        try:
+            del tree
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestTreeValidation:
     def test_even_children_rejected(self):
         with pytest.raises(ValueError):
@@ -163,6 +229,35 @@ class TestTreeValidation:
         tree = new_tree((obj.lower, obj.upper), obj)
         with pytest.raises(ValueError):
             split_leaf(tree, 99)
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_failed_split_changes_nothing(self, s):
+        # The objective raises on the second fresh child of the root's
+        # split: the split must leave no orphan children, no trace rows and
+        # no metered evaluations behind, and a retry must split cleanly.
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return float(x[0])
+
+        obj = unit_objective(fn, 2)
+        tree = new_tree((obj.lower, obj.upper), obj, SooParams(s_children=s))
+        with pytest.raises(RuntimeError):
+            split_leaf(tree, 0)
+        assert obj.meter == tree.eval_count == len(tree.trace.entries) == 1
+        assert len(tree.cells) == 1
+        assert tree.cells[0].is_leaf
+        assert tree.max_leaf_depth == 0
+        assert tree.split_log == []
+
+        ids = split_leaf(tree, 0)
+        assert ids == list(range(1, s + 1))
+        assert len(tree.cells) == 1 + s
+        assert obj.meter == tree.eval_count == len(tree.trace.entries) == s
+        assert sweep(tree) == [ids[0]]  # the root is no longer a leaf
 
     def test_split_is_all_or_nothing_on_exhaustion(self):
         obj = linear_objective(budget=2)
