@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, UnpulledArm
 from .objectives import Objective
-from .result import RunResult, TraceRecorder
+from .result import RunResult, TraceRecorder, ratio_to_optimum
 
 Array = np.ndarray
 
@@ -177,16 +177,12 @@ def _finish_run(
     trace: TraceRecorder,
     evals: int,
 ) -> RunResult:
-    ratio = None
-    f_star = objective.optimum_value
-    if f_star is not None and f_star != 0.0:
-        ratio = trace.best_value / f_star
     return RunResult(
         best_point=best_point,
         best_value=trace.best_value,
         evals_used=evals,
         trace=trace.entries,
-        ratio=ratio,
+        ratio=ratio_to_optimum(trace.best_value, objective.optimum_value),
     )
 
 

@@ -2,8 +2,10 @@
 
 Single runs and grids share one flag surface: `--function` and `--dim`
 accept comma-separated lists, and any cross product larger than one cell
-becomes a grid with a `summary.csv`.  Exit codes: 0 on success, 1 on a
-usage error, 2 on a runtime failure.
+becomes a grid with a `summary.csv`.  Flags that set a RunConfig field
+are passed only when given, so RunConfig alone holds their defaults and
+checks.  Exit codes: 0 on success, 1 on a usage error (including every
+invalid flag value), 2 on a runtime failure.
 
 Examples:
 
@@ -15,14 +17,31 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .errors import SooboxError
-from .harness import ALGORITHMS, RunConfig, run_experiment, run_grid
+from .harness import (
+    ALGORITHMS,
+    FORMATS,
+    RunConfig,
+    grid_configs,
+    run_experiment,
+    run_grid,
+)
 from .objectives import SUITE_NAMES, suite_manifest
 from .tree import DepthSchedule
+
+
+# RunConfig fields that flags set for every cell alike; function, dim and
+# algorithm come from the cross product
+_SHARED_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {
+    "function",
+    "dim",
+    "algorithm",
+}
 
 
 class _UsageError(Exception):
@@ -77,6 +96,10 @@ def _parse_schedule(text: str) -> DepthSchedule:
     )
 
 
+def _parse_formats(text: str) -> tuple[str, ...]:
+    return FORMATS if text == "both" else (text,)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="soobox",
@@ -90,50 +113,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dim", type=_parse_dims, help="dimension or comma-separated list"
     )
-    parser.add_argument("--budget", type=int, help="evaluation budget")
-    parser.add_argument(
-        "--cec-budget",
-        action="store_true",
-        help="use the protocol budget of 10^4 evaluations per dimension",
-    )
     parser.add_argument(
         "--algo",
         type=lambda s: [a.strip() for a in s.split(",")],
-        default=["soo"],
+        default=[RunConfig.algorithm],
         help=f"algorithm or comma-separated list; choose from {', '.join(ALGORITHMS)}",
-    )
-    parser.add_argument(
-        "--refine-fraction",
-        type=float,
-        default=0.05,
-        help="budget share reserved for local refinement (soo-refine)",
-    )
-    parser.add_argument(
-        "--s-children", type=int, default=3, help="children per split, odd >= 3"
-    )
-    parser.add_argument(
-        "--depth-schedule",
-        type=_parse_schedule,
-        default=DepthSchedule.log32(),
-        help="depth cap rule: paper, const:<h>, or unbounded",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for the random baseline"
-    )
-    parser.add_argument(
-        "--grid-resolution",
-        type=int,
-        default=3,
-        help="divisions per dimension for the ucb-grid baseline",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes for grid cells"
     )
-    parser.add_argument("--out", type=Path, help="output directory for artifacts")
-    parser.add_argument(
+    # flags that set a RunConfig field: dest is the field's name, and an
+    # absent flag leaves no attribute, so RunConfig's default applies
+    config_flag = parser.add_argument_group(
+        "run settings", argument_default=argparse.SUPPRESS
+    ).add_argument
+    config_flag("--budget", type=int, help="evaluation budget")
+    config_flag(
+        "--cec-budget",
+        action="store_true",
+        help="use the protocol budget of 10^4 evaluations per dimension",
+    )
+    config_flag(
+        "--refine-fraction",
+        type=float,
+        help="budget share reserved for local refinement (soo-refine)",
+    )
+    config_flag("--s-children", type=int, help="children per split, odd >= 3")
+    config_flag(
+        "--depth-schedule",
+        type=_parse_schedule,
+        help="depth cap rule: paper, const:<h>, or unbounded",
+    )
+    config_flag("--seed", type=int, help="seed for the random baseline")
+    config_flag(
+        "--grid-resolution",
+        type=int,
+        help="divisions per dimension for the ucb-grid baseline",
+    )
+    config_flag(
+        "--out",
+        dest="output_dir",
+        type=Path,
+        metavar="OUT",
+        help="output directory for artifacts",
+    )
+    config_flag(
         "--format",
-        choices=("csv", "json", "both"),
-        default="both",
+        dest="formats",
+        type=_parse_formats,
+        metavar="{csv,json,both}",
         help="which per-run artifacts to write",
     )
     parser.add_argument(
@@ -142,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the suite manifest as JSON and exit",
     )
     return parser
-
-
-def _formats(choice: str) -> tuple[str, ...]:
-    return ("csv", "json") if choice == "both" else (choice,)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,20 +186,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--function is required")
         if not args.dim:
             parser.error("--dim is required")
-        if args.cec_budget == (args.budget is not None):
-            parser.error("exactly one of --budget and --cec-budget is required")
-        for algo in args.algo:
-            if algo not in ALGORITHMS:
-                parser.error(
-                    f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}"
-                )
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
-        if args.s_children < 3 or args.s_children % 2 == 0:
-            parser.error("--s-children must be odd and >= 3")
-        if not 0.0 < args.refine_fraction < 1.0:
-            parser.error("--refine-fraction must be in (0, 1)")
-    except _UsageError as err:
+        fields = {k: v for k, v in vars(args).items() if k in _SHARED_FIELDS}
+        configs = grid_configs(args.function, args.dim, args.algo, **fields)
+    except (_UsageError, ValueError) as err:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 1
@@ -183,24 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        single = (
-            len(args.function) == 1 and len(args.dim) == 1 and len(args.algo) == 1
-        )
-        if single:
-            config = RunConfig(
-                function=args.function[0],
-                dim=args.dim[0],
-                budget=args.budget,
-                cec_budget=args.cec_budget,
-                algorithm=args.algo[0],
-                refine_fraction=args.refine_fraction,
-                s_children=args.s_children,
-                depth_schedule=args.depth_schedule,
-                seed=args.seed,
-                grid_resolution=args.grid_resolution,
-                output_dir=args.out,
-                formats=_formats(args.format),
-            )
+        if len(configs) == 1:
+            config = configs[0]
             result = run_experiment(config)
             ratio = "n/a" if result.ratio is None else format(result.ratio, ".17g")
             print(
@@ -209,19 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             summary = run_grid(
-                args.function,
-                args.dim,
-                args.algo,
-                budget=args.budget,
-                cec_budget=args.cec_budget,
-                output_dir=args.out,
-                formats=_formats(args.format),
-                jobs=args.jobs,
-                refine_fraction=args.refine_fraction,
-                s_children=args.s_children,
-                depth_schedule=args.depth_schedule,
-                seed=args.seed,
-                grid_resolution=args.grid_resolution,
+                args.function, args.dim, args.algo, jobs=args.jobs, **fields
             )
             print(summary.to_csv_text(), end="")
         return 0

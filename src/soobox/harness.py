@@ -30,7 +30,7 @@ from pathlib import Path
 from .baselines import run_random_search, run_ucb_grid
 from .objectives import make_objective
 from .refine import refine_budget_split, refine_run
-from .result import RunResult
+from .result import RunResult, ratio_to_optimum
 from .tree import DepthSchedule, SooParams, run_soo
 
 PER_DIM_BUDGET = 10_000
@@ -45,7 +45,12 @@ FORMATS = ("csv", "json")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines one run, picklable for worker processes."""
+    """Everything that determines one run, picklable for worker processes.
+
+    The one place that holds the run settings, their defaults and their
+    checks: an invalid value raises ValueError at construction, never
+    once the run has started.
+    """
 
     function: str
     dim: int
@@ -77,6 +82,15 @@ class RunConfig:
             )
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _soo_params(self)  # checks s_children
+        if self.grid_resolution < 1:
+            raise ValueError(
+                f"grid_resolution must be >= 1, got {self.grid_resolution}"
+            )
+        if not (math.isfinite(self.exploration) and self.exploration >= 0.0):
+            raise ValueError(
+                f"exploration must be finite and >= 0, got {self.exploration}"
+            )
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown format {fmt!r}")
@@ -140,14 +154,13 @@ def trace_csv_text(result: RunResult, f_star: float | None) -> str:
     its ratio's) is formatted once per distinct value object.  No field
     can contain a delimiter or quote, so rows are joined directly.
     """
-    with_ratio = f_star not in (None, 0.0)
     lines = ["eval_index,best_value,ratio"]
     last = tail = None
     for index, value in result.trace:
         if value is not last:
             last = value
-            ratio = _fmt(value / f_star) if with_ratio else ""
-            tail = f"{_fmt(value)},{ratio}"
+            ratio = ratio_to_optimum(value, f_star)
+            tail = f"{_fmt(value)},{'' if ratio is None else _fmt(ratio)}"
         lines.append(f"{index},{tail}")
     lines.append("")
     return "\n".join(lines)
@@ -267,53 +280,40 @@ def _grid_cell(config: RunConfig) -> tuple[tuple[str, int, str], float | str, st
     return key, ratio, ""
 
 
+def grid_configs(
+    functions: list[str], dims: list[int], algorithms: list[str], **fields
+) -> list[RunConfig]:
+    """One RunConfig per cell of the cross product, in summary order.
+
+    fields are further RunConfig fields shared by every cell; an invalid
+    value raises ValueError before any cell runs.
+    """
+    if not functions or not dims or not algorithms:
+        raise ValueError("functions, dims, and algorithms must be non-empty")
+    return [
+        RunConfig(function=function, dim=dim, algorithm=algorithm, **fields)
+        for function in functions
+        for dim in dims
+        for algorithm in algorithms
+    ]
+
+
 def run_grid(
     functions: list[str],
     dims: list[int],
     algorithms: list[str],
     *,
-    budget: int | None = None,
-    cec_budget: bool = False,
-    output_dir: Path | None = None,
-    formats: tuple[str, ...] = ("csv", "json"),
     jobs: int = 1,
-    refine_fraction: float = 0.05,
-    s_children: int = 3,
-    depth_schedule: DepthSchedule | None = None,
-    seed: int = 0,
-    grid_resolution: int = 3,
-    exploration: float = 2.0,
-    shift_seed: int = 0,
+    **fields,
 ) -> GridSummary:
     """Run the cross product and assemble the ratio summary.
 
-    Each cell is an independent run writing its own artifacts; with
-    jobs > 1 cells execute in worker processes.  The summary lands in
-    `summary.csv` under output_dir, written once at the end.
+    fields are RunConfig fields shared by every cell.  Each cell is an
+    independent run writing its own artifacts; with jobs > 1 cells execute
+    in worker processes.  The summary lands in `summary.csv` under
+    output_dir, written once at the end.
     """
-    if not functions or not dims or not algorithms:
-        raise ValueError("functions, dims, and algorithms must be non-empty")
-    configs = [
-        RunConfig(
-            function=function,
-            dim=dim,
-            budget=budget,
-            cec_budget=cec_budget,
-            algorithm=algorithm,
-            refine_fraction=refine_fraction,
-            s_children=s_children,
-            depth_schedule=depth_schedule or DepthSchedule.log32(),
-            seed=seed,
-            grid_resolution=grid_resolution,
-            exploration=exploration,
-            shift_seed=shift_seed,
-            output_dir=output_dir,
-            formats=formats,
-        )
-        for function in functions
-        for dim in dims
-        for algorithm in algorithms
-    ]
+    configs = grid_configs(functions, dims, algorithms, **fields)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_grid_cell, configs))
@@ -331,6 +331,7 @@ def run_grid(
         algorithms=list(algorithms),
         cells=cells,
     )
+    output_dir = configs[0].output_dir
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -368,29 +369,25 @@ def compare_budgets(
     dim: int,
     budgets: list[int],
     *,
-    s_children: int = 3,
-    depth_schedule: DepthSchedule | None = None,
-    shift_seed: int = 0,
     output_dir: Path | None = None,
+    **fields,
 ) -> BudgetComparison:
-    """Run the partition optimizer at each budget and compare ratios.
+    """Run one config at each budget and compare ratios.
 
-    Budgets must be strictly increasing.  Determinism plus the trace
-    prefix property make the reported ratios monotone non-increasing.
+    fields are further RunConfig fields; output_dir receives the report,
+    and the runs themselves write no artifacts.  Budgets must be strictly increasing.  For the partition
+    optimizer, determinism plus the trace prefix property make the
+    reported ratios monotone non-increasing.
     """
     if not budgets:
         raise ValueError("need at least one budget")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
-    params = SooParams(
-        s_children=s_children,
-        depth_schedule=depth_schedule or DepthSchedule.log32(),
-    )
+    configs = [RunConfig(function, dim, budget=b, **fields) for b in budgets]
     ratios: list[float] = []
     best_values: list[float] = []
-    for budget in budgets:
-        objective = make_objective(function, dim, budget, shift_seed=shift_seed)
-        result = run_soo(objective, budget, params)
+    for config in configs:
+        result = run_algorithm(config)
         ratios.append(result.ratio if result.ratio is not None else math.nan)
         best_values.append(result.best_value)
     improvements = [

@@ -190,6 +190,20 @@ _BUILDERS: dict[str, tuple[Callable[[int], Callable[[Array], float]], int]] = {
 # ---------------------------------------------------------------------------
 
 
+def checked_box(lower, upper) -> tuple[Array, Array]:
+    """The box's corners as float arrays; raises InvalidBounds unless they
+    are matching non-empty 1-D vectors, finite, with lower < upper."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.ndim != 1 or upper.shape != lower.shape or lower.size < 1:
+        raise InvalidBounds("bounds must be matching 1-D vectors")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise InvalidBounds("bounds must be finite")
+    if not np.all(lower < upper):
+        raise InvalidBounds("need lower < upper in every dimension")
+    return lower, upper
+
+
 class Objective:
     """A black-box function on a box, metered against a hard budget.
 
@@ -214,14 +228,7 @@ class Objective:
         optimum_point: Array | None = None,
         optimum_value: float | None = None,
     ):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.ndim != 1 or upper.shape != lower.shape or lower.size < 1:
-            raise InvalidBounds("bounds must be matching 1-D vectors")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise InvalidBounds("bounds must be finite")
-        if not np.all(lower < upper):
-            raise InvalidBounds("need lower < upper in every dimension")
+        lower, upper = checked_box(lower, upper)
         budget = int(budget)
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")

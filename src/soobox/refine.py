@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, OutOfBounds
 from .objectives import Objective
-from .result import RunResult, TraceRecorder, value_key
+from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
 
 Array = np.ndarray
 
@@ -279,15 +279,11 @@ def refine_run(
         best_point, best_value = nm.point, nm.value
     else:
         best_point, best_value = result.best_point, result.best_value
-    ratio = None
-    f_star = objective.optimum_value
-    if f_star is not None and f_star != 0.0:
-        ratio = best_value / f_star
     return RunResult(
         best_point=best_point,
         best_value=best_value,
         evals_used=result.evals_used + nm.evals_used,
         trace=list(result.trace) + trace.entries,
-        ratio=ratio,
+        ratio=ratio_to_optimum(best_value, objective.optimum_value),
         split_ids=result.split_ids,
     )

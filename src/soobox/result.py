@@ -25,6 +25,13 @@ def value_key(value: float) -> float:
     return value if math.isfinite(value) else math.inf
 
 
+def ratio_to_optimum(value: float, f_star: float | None) -> float | None:
+    """value / f_star, or None when the optimum is unknown or zero."""
+    if f_star is None or f_star == 0.0:
+        return None
+    return value / f_star
+
+
 class TraceRecorder:
     """Accumulates the per-evaluation best-so-far trace.
 

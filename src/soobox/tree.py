@@ -30,9 +30,9 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import BudgetExhausted, InvalidBounds, NotALeaf, ObjectiveDegenerate
-from .objectives import Objective
-from .result import RunResult, TraceRecorder, value_key
+from .errors import BudgetExhausted, NotALeaf, ObjectiveDegenerate
+from .objectives import Objective, checked_box
+from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
 
 Array = np.ndarray
 
@@ -99,13 +99,11 @@ class SooParams:
     """Structural knobs for the partition optimizer.
 
     s_children must be odd and >= 3 so the middle child can reuse the
-    parent's center evaluation.  minimize=False maximizes by negating at
-    the objective boundary; the tree itself always minimizes.
+    parent's center evaluation.
     """
 
     s_children: int = 3
     depth_schedule: DepthSchedule = field(default_factory=DepthSchedule.log32)
-    minimize: bool = True
 
     def __post_init__(self):
         if self.s_children < 3 or self.s_children % 2 == 0:
@@ -220,14 +218,7 @@ class PartitionTree:
         params: SooParams | None = None,
         eval_budget: int | None = None,
     ):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.ndim != 1 or upper.shape != lower.shape or lower.size < 1:
-            raise InvalidBounds("bounds must be matching 1-D vectors")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise InvalidBounds("bounds must be finite")
-        if not np.all(lower < upper):
-            raise InvalidBounds("need lower < upper in every dimension")
+        lower, upper = checked_box(lower, upper)
         self.params = params or SooParams()
         self.objective = objective
         self.eval_budget = None if eval_budget is None else int(eval_budget)
@@ -466,29 +457,6 @@ def incumbent(tree: PartitionTree) -> tuple[Array, float, int]:
     return tree.incumbent()
 
 
-class _NegatedObjective:
-    """Maximization adapter: negates values while sharing the base meter."""
-
-    def __init__(self, base: Objective):
-        self._base = base
-        self.lower = base.lower
-        self.upper = base.upper
-
-    @property
-    def dim(self) -> int:
-        return self._base.dim
-
-    @property
-    def remaining(self) -> int:
-        return self._base.remaining
-
-    def evaluate(self, x) -> float:
-        return -self._base.evaluate(x)
-
-    def evaluate_batch(self, points) -> list[float]:
-        return [-v for v in self._base.evaluate_batch(points)]
-
-
 def run_soo(
     objective: Objective,
     budget: int,
@@ -503,10 +471,8 @@ def run_soo(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    params = params or SooParams()
-    target = objective if params.minimize else _NegatedObjective(objective)
     tree = PartitionTree(
-        objective.lower, objective.upper, target, params, eval_budget=budget
+        objective.lower, objective.upper, objective, params, eval_budget=budget
     )
     while True:
         try:
@@ -520,20 +486,11 @@ def run_soo(
     if not math.isfinite(value):
         raise ObjectiveDegenerate("every evaluated point was non-finite")
 
-    trace = tree.trace.entries
-    ratio = None
-    if params.minimize:
-        f_star = objective.optimum_value
-        if f_star is not None and f_star != 0.0:
-            ratio = value / f_star
-    else:
-        value = -value
-        trace = [(i, -v) for i, v in trace]
     return RunResult(
         best_point=point,
         best_value=value,
         evals_used=tree.eval_count,
-        trace=trace,
-        ratio=ratio,
+        trace=tree.trace.entries,
+        ratio=ratio_to_optimum(value, objective.optimum_value),
         split_ids=tuple(tree.split_log),
     )

@@ -146,6 +146,20 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(function="sphere", dim=2, budget=10, formats=("yaml",))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("s_children", 4),
+            ("grid_resolution", 0),
+            ("exploration", -1.0),
+            ("exploration", math.nan),
+            ("exploration", math.inf),
+        ],
+    )
+    def test_invalid_field_raises_at_construction(self, name, value):
+        with pytest.raises(ValueError):
+            RunConfig(function="sphere", dim=2, budget=10, **{name: value})
+
     def test_stem_reflects_resolved_budget(self):
         config = RunConfig(
             function="ackley", dim=3, cec_budget=True, algorithm="soo-refine"
@@ -310,6 +324,14 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid([], [2], ["soo"], budget=100)
 
+    def test_invalid_field_raises_before_any_cell_runs(self, tmp_path):
+        with pytest.raises(ValueError):
+            run_grid(
+                ["sphere", "ackley"], [2], ["soo"], budget=100, s_children=4,
+                output_dir=tmp_path,
+            )
+        assert not list(tmp_path.iterdir())
+
 
 # =============================================================================
 # Budget comparisons
@@ -334,6 +356,13 @@ class TestCompareBudgets:
         with pytest.raises(ValueError):
             compare_budgets("sphere", 2, [])
 
+    def test_invalid_field_raises_before_any_run(self, tmp_path):
+        with pytest.raises(ValueError):
+            compare_budgets(
+                "sphere", 2, [100, 200], grid_resolution=0, output_dir=tmp_path
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_report_written_as_json(self, tmp_path):
         compare_budgets("rastrigin", 2, [200, 400], output_dir=tmp_path)
         payload = json.loads((tmp_path / "budgets_rastrigin_2.json").read_text())
@@ -344,6 +373,50 @@ class TestCompareBudgets:
 # =============================================================================
 # CLI
 # =============================================================================
+
+
+# (argv, exit code) for every documented exit: 0 success, 1 usage error
+# (any invalid flag value), 2 runtime error.
+_RUN = ["--function", "sphere", "--dim", "2"]
+_GRID = ["--function", "sphere,ackley", "--dim", "2"]
+CLI_EXIT_CODES = [
+    pytest.param([], 1, id="no-function"),
+    pytest.param(["--function", "sphere"], 1, id="no-dim"),
+    pytest.param(_RUN, 1, id="no-budget"),
+    pytest.param(_RUN + ["--budget", "5", "--cec-budget"], 1, id="both-budgets"),
+    pytest.param(
+        ["--function", "nope", "--dim", "2", "--budget", "5"], 1,
+        id="unknown-function",
+    ),
+    pytest.param(_RUN + ["--budget", "5", "--algo", "sgd"], 1, id="unknown-algo"),
+    pytest.param(
+        _RUN + ["--budget", "5", "--depth-schedule", "sometimes"], 1,
+        id="unknown-schedule",
+    ),
+    pytest.param(_RUN + ["--budget", "0"], 1, id="budget-zero"),
+    pytest.param(_RUN + ["--budget", "-5"], 1, id="budget-negative"),
+    pytest.param(
+        _RUN + ["--budget", "10", "--algo", "ucb-grid", "--grid-resolution", "0"],
+        1, id="grid-resolution-zero",
+    ),
+    pytest.param(
+        _GRID + ["--budget", "10", "--algo", "ucb-grid", "--grid-resolution", "0"],
+        1, id="grid-resolution-zero-grid-form",
+    ),
+    pytest.param(_RUN + ["--budget", "10", "--s-children", "4"], 1, id="s-children-even"),
+    pytest.param(
+        _RUN + ["--budget", "10", "--refine-fraction", "1.5"], 1,
+        id="refine-fraction-above-one",
+    ),
+    pytest.param(_GRID + ["--budget", "10", "--jobs", "0"], 1, id="jobs-zero"),
+    pytest.param(["--function", "sphere", "--dim", "0", "--budget", "10"], 1, id="dim-zero"),
+    pytest.param(
+        ["--function", "rosenbrock", "--dim", "1", "--budget", "50"], 2,
+        id="rosenbrock-dim-one",
+    ),
+    pytest.param(_RUN + ["--budget", "20"], 0, id="valid-run"),
+    pytest.param(["--help"], 0, id="help"),
+]
 
 
 class TestCli:
@@ -373,31 +446,11 @@ class TestCli:
         assert len(manifest) == 8
         assert manifest[0]["dim"] == 3
 
-    def test_usage_errors_exit_one(self, capsys):
-        assert main([]) == 1  # no --function
-        assert main(["--function", "sphere"]) == 1  # no --dim
-        assert main(["--function", "sphere", "--dim", "2"]) == 1  # no budget
-        assert main([
-            "--function", "sphere", "--dim", "2", "--budget", "5",
-            "--cec-budget",
-        ]) == 1  # both budget modes
-        assert main([
-            "--function", "nope", "--dim", "2", "--budget", "5",
-        ]) == 1  # unknown function
-        assert main([
-            "--function", "sphere", "--dim", "2", "--budget", "5",
-            "--algo", "sgd",
-        ]) == 1  # unknown algorithm
-        assert main([
-            "--function", "sphere", "--dim", "2", "--budget", "5",
-            "--depth-schedule", "sometimes",
-        ]) == 1  # unknown schedule
-        capsys.readouterr()
-
-    def test_runtime_errors_exit_two(self, capsys):
-        code = main(["--function", "rosenbrock", "--dim", "1", "--budget", "50"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, code", CLI_EXIT_CODES)
+    def test_exit_code(self, argv, code, capsys):
+        assert main(argv) == code
+        if code:
+            assert "error" in capsys.readouterr().err
 
     def test_depth_schedule_spellings(self, capsys):
         for spelling in ("paper", "log32", "const:2", "unbounded"):

@@ -521,15 +521,6 @@ class TestRunSoo:
         assert r1.split_ids == r2.split_ids
         assert np.array_equal(r1.best_point, r2.best_point)
 
-    def test_maximize_mirrors_minimize(self):
-        lo, hi = np.zeros(2), np.ones(2)
-        peak = Objective(lambda x: -float(np.sum((x - 0.3) ** 2)), lo, hi, 10**4)
-        result = run_soo(peak, 400, SooParams(minimize=False))
-        assert result.best_value == pytest.approx(0.0, abs=1e-4)
-        values = result.trace_values()
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert result.best_value == result.trace[-1][1]
-
 
 # =============================================================================
 # Partition invariants (property-based)
