@@ -193,17 +193,16 @@ class CellsView(Sequence):
 # the tree
 # ---------------------------------------------------------------------------
 
-_INITIAL_ROWS = 256
-
-
 class PartitionTree:
     """Partition state plus the evaluation meter and trace for one run.
 
     Cells live in rows of preallocated (rows, D) arrays for their lower
     corners, upper corners and centers, plus per-cell lists of value,
     depth, split dimension, parent id and leaf flag; a cell's id is its
-    row.  Storage doubles as needed, capped at the most cells the budget
-    can pay for: the root plus S per affordable split.
+    row.  The arrays are sized once, for the most cells the budget can pay
+    for, and never reallocated: rows not yet written cost address space,
+    not resident memory, and no mid-run copy-and-free makes the peak
+    memory of a process depend on the allocator's history.
 
     Leaves are tracked per depth in lazy-deletion min-heaps keyed by
     (value_key, id), so each sweep touches only the depths it visits and
@@ -236,13 +235,12 @@ class PartitionTree:
         self._edge_k = np.arange(s + 1, dtype=float)
 
         self._require_budget(1)
-        self._max_rows = 1 + s * ((self.remaining - 1) // (s - 1))
         center = (lower + upper) / 2.0
         value = self.objective.evaluate(center)
         self.eval_count = 1
         self.trace.record(value)
 
-        rows = min(_INITIAL_ROWS, self._max_rows)
+        rows = 1 + s * (self.remaining // (s - 1))  # root + affordable splits
         self._lower = np.empty((rows, self.dim))
         self._upper = np.empty((rows, self.dim))
         self._center = np.empty((rows, self.dim))
@@ -274,15 +272,6 @@ class PartitionTree:
                 f"need {needed} evaluations, only {self.remaining} left"
             )
 
-    def _grow(self, needed: int) -> None:
-        """Reallocate the row arrays to hold at least `needed` cells."""
-        rows = max(needed, min(2 * len(self._lower), self._max_rows))
-        n = self._n
-        for name in ("_lower", "_upper", "_center"):
-            grown = np.empty((rows, self.dim))
-            grown[:n] = getattr(self, name)[:n]
-            setattr(self, name, grown)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -307,8 +296,6 @@ class PartitionTree:
         s = self.params.s_children
         self._require_budget(s - 1)
         end = n + s
-        if end > len(self._lower):
-            self._grow(end)
 
         # The children fill rows n..end-1, which stay invisible until the
         # commit below.  Shared interior edges are computed once so

@@ -170,8 +170,8 @@ class TestCellViews:
         assert cells[2].parent == 0 and cells[0].parent is None
 
     def test_storage_grows_past_initial_rows(self):
-        # Thousands of cells force several reallocations; views taken
-        # before a reallocation keep reading the same boxes.
+        # Thousands of cells fill rows far past the first few; views taken
+        # early keep reading the same boxes.
         obj = make_objective("sphere", 2, budget=10**6)
         tree = new_tree((obj.lower, obj.upper), obj)
         split_leaf(tree, 0)
@@ -187,6 +187,19 @@ class TestCellViews:
         parent = tree.cells[child.parent]
         assert np.all(parent.lower <= child.lower)
         assert np.all(child.upper <= parent.upper)
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_rows_sized_once_for_the_whole_budget(self, s):
+        # The row arrays hold every cell the budget can pay for, so a run
+        # that spends it all fills them without reallocating.
+        for budget in range(1, 3 * s):
+            obj = linear_objective(budget=budget)
+            tree = new_tree((obj.lower, obj.upper), obj, SooParams(s_children=s))
+            rows = tree._lower
+            while tree.remaining >= s - 1:
+                split_leaf(tree, tree.cells[-1].id)
+            assert tree._lower is rows
+            assert len(tree.cells) == len(rows)
 
     def test_tree_is_freed_without_a_cycle_collection(self):
         obj = linear_objective()
