@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baselines import run_random_search, run_ucb_grid
-from .objectives import make_objective
+from .objectives import make_objective, suite_f_star
 from .refine import refine_budget_split, refine_run
 from .result import RunResult, ratio_to_optimum
 from .tree import DepthSchedule, SooParams, run_soo
@@ -142,9 +142,18 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    # Each writer gets its own temp name, so writers of one path never
+    # share a temp file.  Exclusive mode refuses to reuse an existing
+    # file and, unlike mkstemp's 0600, keeps the default permissions.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def trace_csv_text(result: RunResult, f_star: float | None) -> str:
@@ -228,11 +237,8 @@ def run_experiment(config: RunConfig) -> RunResult:
     return result
 
 
-def _suite_f_star(config: RunConfig) -> float | None:
-    objective = make_objective(
-        config.function, config.dim, 0, shift_seed=config.shift_seed
-    )
-    return objective.optimum_value
+def _suite_f_star(config: RunConfig) -> float:
+    return suite_f_star(config.function)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,17 @@ def grid_configs(
     """One RunConfig per cell of the cross product, in summary order.
 
     fields are further RunConfig fields shared by every cell; an invalid
-    value raises ValueError before any cell runs.
+    value or a value repeated on an axis raises ValueError before any
+    cell runs.
     """
     if not functions or not dims or not algorithms:
         raise ValueError("functions, dims, and algorithms must be non-empty")
+    for axis, values in (
+        ("function", functions), ("dim", dims), ("algorithm", algorithms)
+    ):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{axis} {repeated[0]!r} is given more than once")
     return [
         RunConfig(function=function, dim=dim, algorithm=algorithm, **fields)
         for function in functions

@@ -93,6 +93,9 @@ def shift_from_seed(seed: int, dim: int) -> Array:
 # base functions, g(0) = 0 exactly
 # ---------------------------------------------------------------------------
 
+# Reductions are ndarray methods (z.sum(), not np.sum(z)): the same ufunc
+# reduce, without np.sum's Python-level dispatch on every evaluation.
+
 
 def _sphere(dim: int) -> Callable[[Array], float]:
     def g(z: Array) -> float:
@@ -119,14 +122,14 @@ def _rosenbrock(dim: int) -> Callable[[Array], float]:
         w = z + 1.0
         a = w[1:] - w[:-1] ** 2
         b = 1.0 - w[:-1]
-        return float(np.sum(100.0 * a * a + b * b))
+        return float((100.0 * a * a + b * b).sum())
 
     return g
 
 
 def _rastrigin(dim: int) -> Callable[[Array], float]:
     def g(z: Array) -> float:
-        return float(10.0 * dim + np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z)))
+        return float(10.0 * dim + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum())
 
     return g
 
@@ -137,8 +140,8 @@ def _ackley(dim: int) -> Callable[[Array], float]:
     e1 = math.exp(1.0)
 
     def g(z: Array) -> float:
-        rms = math.sqrt(float(np.mean(z * z)))
-        cos_mean = float(np.mean(np.cos(2.0 * np.pi * z)))
+        rms = math.sqrt(float((z * z).mean()))
+        cos_mean = float(np.cos(2.0 * np.pi * z).mean())
         return (20.0 - 20.0 * math.exp(-0.2 * rms)) + (e1 - math.exp(cos_mean))
 
     return g
@@ -148,7 +151,7 @@ def _griewank(dim: int) -> Callable[[Array], float]:
     root_index = np.sqrt(np.arange(1.0, dim + 1.0))
 
     def g(z: Array) -> float:
-        return float(np.sum(z * z) / 4000.0 + 1.0 - np.prod(np.cos(z / root_index)))
+        return float((z * z).sum() / 4000.0 + 1.0 - np.cos(z / root_index).prod())
 
     return g
 
@@ -158,7 +161,7 @@ def _styblinski_tang(dim: int) -> Callable[[Array], float]:
     # evaluated at the frozen argmin so the optimum lands on 0.0 exactly.
     def g(z: Array) -> float:
         v = z + _ST_ARGMIN
-        return float(np.sum(_st_poly(v) - _ST_PERDIM_MIN))
+        return float((_st_poly(v) - _ST_PERDIM_MIN).sum())
 
     return g
 
@@ -237,6 +240,9 @@ class Objective:
         self.upper = upper
         self.budget = budget
         self.meter = 0
+        # bounds tiled to each flattened block size checked so far; the
+        # box is fixed at construction
+        self._tiled = {lower.size: (lower, upper)}
         self.name = name
         self.index = index
         self.bias = bias
@@ -255,11 +261,19 @@ class Objective:
         return self.budget - self.meter
 
     def _require_inside(self, points: Array) -> None:
+        # The flattened block is compared with the bounds tiled to its
+        # size, which is cheaper than broadcasting the bounds over rows.
         # Counting comparisons is cheaper than np.all over their conjunction
         # and also rejects NaN coordinates, which fail both comparisons.
-        inside = np.count_nonzero(self.lower <= points)
-        inside += np.count_nonzero(points <= self.upper)
-        if inside != 2 * points.size:
+        flat = points.reshape(-1)
+        tiled = self._tiled.get(flat.size)
+        if tiled is None:
+            reps = flat.size // self.lower.size
+            tiled = np.tile(self.lower, reps), np.tile(self.upper, reps)
+            self._tiled[flat.size] = tiled
+        lower, upper = tiled
+        inside = np.count_nonzero(lower <= flat) + np.count_nonzero(flat <= upper)
+        if inside != 2 * flat.size:
             raise OutOfBounds("point lies outside the objective's box")
 
     def evaluate(self, x) -> float:
@@ -315,6 +329,15 @@ class Objective:
         return self.optimum_point.copy(), self.optimum_value
 
 
+def suite_f_star(name: str) -> float:
+    """The known minimum of a suite function: BIAS_STEP x its 1-based index."""
+    if name not in SUITE_NAMES:
+        raise UnknownFunction(
+            f"unknown function {name!r}; suite = {', '.join(SUITE_NAMES)}"
+        )
+    return BIAS_STEP * (SUITE_NAMES.index(name) + 1)
+
+
 def make_objective(
     name: str,
     dim: int,
@@ -329,10 +352,7 @@ def make_objective(
     None to derive it from shift_seed.  The shift must land strictly inside
     the box, which the seeded range [-2, 2) guarantees by construction.
     """
-    if name not in _BUILDERS:
-        raise UnknownFunction(
-            f"unknown function {name!r}; suite = {', '.join(SUITE_NAMES)}"
-        )
+    bias = suite_f_star(name)
     builder, min_dim = _BUILDERS[name]
     if dim < min_dim:
         raise BadDimension(f"{name} requires dim >= {min_dim}, got {dim}")
@@ -348,8 +368,6 @@ def make_objective(
     upper = np.full(dim, BOX_HALF_WIDTH)
     if np.any(shift_vec <= lower) or np.any(shift_vec >= upper):
         raise ValueError("shift must lie strictly inside the box")
-    index = SUITE_NAMES.index(name) + 1
-    bias = BIAS_STEP * index
     g = builder(dim)
 
     def fn(x: Array) -> float:
@@ -361,7 +379,7 @@ def make_objective(
         upper,
         budget,
         name=name,
-        index=index,
+        index=SUITE_NAMES.index(name) + 1,
         bias=bias,
         shift=shift_vec,
         optimum_point=shift_vec.copy(),

@@ -14,6 +14,17 @@ This makes the method rank-based: only comparisons between observed values
 drive the tree, so any strictly increasing transform of the objective
 yields the identical sequence of splits.
 
+Storage: the tree keeps every cell's lower corner, upper corner and
+midpoint (lower + upper) / 2 in one preallocated (rows, 3, D) array; a
+cell's id is its row.  A split copies the parent's row into its S child
+rows in one broadcast and then rewrites the (S, 3) slab edges and
+midpoints along the split dimension.  Two per-cell fields are derived
+rather than stored: the split dimension is depth % D, and the parent of
+cell id > 0 is split_log[(id - 1) // S], since the k-th split appends
+children 1 + k*S .. (k + 1)*S.  A middle child ((id - 1) % S == (S - 1) // 2)
+is never evaluated at its own midpoint: its center is the point of the
+nearest ancestor that paid for its value.
+
 The per-sweep depth cap follows max(1, floor((ln t)^(3/2))) with t the
 number of evaluations consumed when the sweep starts, so the tree may
 deepen only logarithmically in the budget.  Constant and unbounded caps
@@ -125,22 +136,23 @@ class Cell:
         self._tree = tree
         self.id = cell_id
 
-    def _row(self, rows: Array) -> Array:
-        row = rows[self.id]
+    def _row(self, cell_id: int, part: int) -> Array:
+        row = self._tree._box[cell_id, part]
         row.flags.writeable = False
         return row
 
     @property
     def lower(self) -> Array:
-        return self._row(self._tree._lower)
+        return self._row(self.id, 0)
 
     @property
     def upper(self) -> Array:
-        return self._row(self._tree._upper)
+        return self._row(self.id, 1)
 
     @property
     def center(self) -> Array:
-        return self._row(self._tree._center)
+        """The point this cell's value was evaluated at."""
+        return self._row(self._tree._paid_id(self.id), 2)
 
     @property
     def value(self) -> float:
@@ -152,11 +164,11 @@ class Cell:
 
     @property
     def split_dim(self) -> int:
-        return self._tree._split_dim[self.id]
+        return self.depth % self._tree.dim
 
     @property
     def parent(self) -> int | None:
-        return self._tree._parent[self.id]
+        return self._tree._parent_id(self.id)
 
     @property
     def is_leaf(self) -> bool:
@@ -196,13 +208,14 @@ class CellsView(Sequence):
 class PartitionTree:
     """Partition state plus the evaluation meter and trace for one run.
 
-    Cells live in rows of preallocated (rows, D) arrays for their lower
-    corners, upper corners and centers, plus per-cell lists of value,
-    depth, split dimension, parent id and leaf flag; a cell's id is its
-    row.  The arrays are sized once, for the most cells the budget can pay
-    for, and never reallocated: rows not yet written cost address space,
-    not resident memory, and no mid-run copy-and-free makes the peak
-    memory of a process depend on the allocator's history.
+    Cells live in the rows of one preallocated (rows, 3, D) array holding
+    each cell's lower corner, upper corner and midpoint, plus per-cell
+    lists of value, depth and leaf flag; a cell's id is its row, and its
+    split dimension, parent and center are derived (see the module
+    docstring).  The array is sized once, for the most cells the budget
+    can pay for, and never reallocated: rows not yet written cost address
+    space, not resident memory, and no mid-run copy-and-free makes the
+    peak memory of a process depend on the allocator's history.
 
     Leaves are tracked per depth in lazy-deletion min-heaps keyed by
     (value_key, id), so each sweep touches only the depths it visits and
@@ -228,11 +241,11 @@ class PartitionTree:
         self.max_leaf_depth = 0
 
         s = self.params.s_children
-        mid = (s - 1) // 2
-        # rows of a split's block that need a fresh evaluation, and the
-        # multipliers k of its slab edges lo + k * step
-        self._fresh_rows = np.array([k for k in range(s) if k != mid], dtype=np.intp)
-        self._edge_k = np.arange(s + 1, dtype=float)
+        self._mid = (s - 1) // 2
+        # rows of a split's block that need a fresh evaluation
+        self._fresh_rows = np.array(
+            [k for k in range(s) if k != self._mid], dtype=np.intp
+        )
 
         self._require_budget(1)
         center = (lower + upper) / 2.0
@@ -241,16 +254,10 @@ class PartitionTree:
         self.trace.record(value)
 
         rows = 1 + s * (self.remaining // (s - 1))  # root + affordable splits
-        self._lower = np.empty((rows, self.dim))
-        self._upper = np.empty((rows, self.dim))
-        self._center = np.empty((rows, self.dim))
-        self._lower[0] = lower
-        self._upper[0] = upper
-        self._center[0] = center
+        self._box = np.empty((rows, 3, self.dim))  # lower, upper, midpoint
+        self._box[0] = lower, upper, center
         self._value: list[float] = [value]
         self._depth: list[int] = [0]
-        self._split_dim: list[int] = [0]
-        self._parent: list[int | None] = [None]
         self._is_leaf: list[bool] = [True]
         self._n = 1
         key = value_key(value)
@@ -273,6 +280,21 @@ class PartitionTree:
             )
 
     # -- structure ----------------------------------------------------------
+
+    def _parent_id(self, cell_id: int) -> int | None:
+        if cell_id == 0:
+            return None
+        return self.split_log[(cell_id - 1) // self.params.s_children]
+
+    def _paid_id(self, cell_id: int) -> int:
+        """The cell whose center a cell's value was evaluated at.
+
+        A middle child reuses its parent's point, so walk up through
+        middle children to the nearest ancestor that paid an evaluation.
+        """
+        while cell_id and (cell_id - 1) % self.params.s_children == self._mid:
+            cell_id = self._parent_id(cell_id)
+        return cell_id
 
     @property
     def cells(self) -> CellsView:
@@ -298,30 +320,27 @@ class PartitionTree:
         end = n + s
 
         # The children fill rows n..end-1, which stay invisible until the
-        # commit below.  Shared interior edges are computed once so
-        # adjacent children have bit-identical boundaries; the outer edges
-        # reuse the parent's.
-        lower, upper, center = self._lower, self._upper, self._center
-        d = self._split_dim[leaf_id]
-        lo_d = lower.item(leaf_id, d)
-        up_d = upper.item(leaf_id, d)
-        edges = lo_d + self._edge_k * ((up_d - lo_d) / s)
-        edges[0] = lo_d
-        edges[s] = up_d
-        lo = lower[n:end]
-        up = upper[n:end]
-        lo[:] = lower[leaf_id]
-        up[:] = upper[leaf_id]
-        lo[:, d] = edges[:-1]
-        up[:, d] = edges[1:]
-        centers = center[n:end]
-        np.add(lo, up, out=centers)  # (lo + up) / 2.0, row by row
-        centers /= 2.0
-        # Center reuse: the middle slab keeps the parent's center point and
-        # value without a fresh evaluation.
-        mid = (s - 1) // 2
-        centers[mid] = center[leaf_id]
-        fresh = self.objective.evaluate_batch(centers[self._fresh_rows])
+        # commit below.  Each starts as a copy of the parent's row; along
+        # the split dimension the shared interior edges lo + k*step are
+        # computed once, so adjacent children have bit-identical
+        # boundaries, and the outer edges reuse the parent's.  Python floats
+        # do the same IEEE double operations as numpy arrays, so every
+        # edge and midpoint is bit-identical to the array arithmetic.
+        box = self._box
+        d = self._depth[leaf_id] % self.dim
+        lo_d = box.item(leaf_id, 0, d)
+        up_d = box.item(leaf_id, 1, d)
+        step = (up_d - lo_d) / s
+        edges = [lo_d, *[lo_d + k * step for k in range(1, s)], up_d]
+        block = box[n:end]
+        block[:] = box[leaf_id]
+        block[:, :, d] = [(a, b, (a + b) / 2.0) for a, b in zip(edges, edges[1:])]
+        # Center reuse: the middle slab is not evaluated; it keeps the
+        # parent's value (and, through _paid_id, the parent's point).
+        mid = self._mid
+        fresh = self.objective.evaluate_batch(
+            block[:, 2].take(self._fresh_rows, axis=0)
+        )
 
         parent_value = self._value[leaf_id]
         values = fresh[:mid] + [parent_value] + fresh[mid:]
@@ -341,8 +360,6 @@ class PartitionTree:
         self.eval_count += s - 1
         self._value.extend(values)
         self._depth.extend([child_depth] * s)
-        self._split_dim.extend([(d + 1) % self.dim] * s)
-        self._parent.extend([leaf_id] * s)
         self._is_leaf.extend([True] * s)
         self._is_leaf[leaf_id] = False
         self._n = end
@@ -406,10 +423,11 @@ class PartitionTree:
 
         Ties go to the smallest id, which is the earliest-created cell;
         middle children share their ancestor's value but carry larger ids,
-        so a reused center never displaces the cell that paid for it.
+        so a reused center never displaces the cell that paid for it.  The
+        point is always that of the cell that paid for the value.
         """
         cid = self._best_id
-        return self._center[cid].copy(), self._value[cid], cid
+        return self._box[self._paid_id(cid), 2].copy(), self._value[cid], cid
 
     def leaves(self):
         """Views of the current leaves, in id order."""

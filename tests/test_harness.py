@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soobox import (
+    SUITE_NAMES,
     DepthSchedule,
     RunConfig,
     RunResult,
@@ -22,7 +26,9 @@ from soobox import (
     run_grid,
     run_soo,
 )
+from soobox import harness
 from soobox.cli import main
+from soobox.errors import UnknownFunction
 from soobox.harness import read_trace_csv, trace_csv_text
 
 # =============================================================================
@@ -236,6 +242,71 @@ class TestRunExperiment:
         run_experiment(config)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_suite_f_star_matches_the_objective(self, name):
+        config = RunConfig(function=name, dim=3, budget=10, shift_seed=5)
+        objective = make_objective(name, 3, 0, shift_seed=5)
+        assert harness._suite_f_star(config) == objective.optimum_value
+
+    def test_suite_f_star_rejects_unknown_function(self):
+        config = RunConfig(function="nope", dim=2, budget=10)
+        with pytest.raises(UnknownFunction):
+            harness._suite_f_star(config)
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_target_and_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk on fire")
+
+        monkeypatch.setattr(harness.os, "replace", fail)
+        with pytest.raises(OSError, match="disk on fire"):
+            harness._atomic_write(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_new_file_gets_default_permissions(self, tmp_path):
+        probe = tmp_path / "probe"
+        probe.write_text("")
+        harness._atomic_write(tmp_path / "out.json", "{}\n")
+        mode = os.stat(tmp_path / "out.json").st_mode & 0o777
+        assert mode == os.stat(probe).st_mode & 0o777
+
+    def test_concurrent_writers_leave_one_complete_file(self, tmp_path):
+        # More writers than cores, switching threads as often as possible:
+        # a shared temp name would let one writer replace or truncate
+        # another's half-written file.
+        target = tmp_path / "out.csv"
+        texts = [f"{k}\n" * 20_000 for k in range(8)]
+        start = threading.Barrier(len(texts), timeout=30)
+        errors = []
+
+        def write(text):
+            try:
+                start.wait()
+                for _ in range(5):
+                    harness._atomic_write(target, text)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert target.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 # =============================================================================
 # Determinism properties
@@ -332,6 +403,21 @@ class TestRunGrid:
             )
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "axes, repeated",
+        [
+            ((["sphere", "ackley", "sphere"], [2], ["soo"]), "'sphere'"),
+            ((["sphere"], [2, 3, 2], ["soo"]), "dim 2"),
+            ((["sphere"], [2], ["soo", "random", "soo"]), "'soo'"),
+        ],
+    )
+    def test_repeated_axis_value_raises_before_any_cell_runs(
+        self, tmp_path, axes, repeated
+    ):
+        with pytest.raises(ValueError, match=repeated):
+            run_grid(*axes, budget=30, output_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
 
 # =============================================================================
 # Budget comparisons
@@ -409,6 +495,16 @@ CLI_EXIT_CODES = [
         id="refine-fraction-above-one",
     ),
     pytest.param(_GRID + ["--budget", "10", "--jobs", "0"], 1, id="jobs-zero"),
+    pytest.param(
+        ["--function", "sphere,sphere", "--dim", "2", "--budget", "10"], 1,
+        id="repeated-function",
+    ),
+    pytest.param(
+        ["--function", "all,ackley", "--dim", "2", "--budget", "10"], 1,
+        id="repeated-function-via-all",
+    ),
+    pytest.param(_RUN[:3] + ["2,3,2", "--budget", "10"], 1, id="repeated-dim"),
+    pytest.param(_RUN + ["--budget", "10", "--algo", "soo,soo"], 1, id="repeated-algo"),
     pytest.param(["--function", "sphere", "--dim", "0", "--budget", "10"], 1, id="dim-zero"),
     pytest.param(
         ["--function", "rosenbrock", "--dim", "1", "--budget", "50"], 2,

@@ -2,7 +2,9 @@
 
 import gc
 import math
+import struct
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from soobox import (
     sweep,
     transformed,
 )
+from soobox.result import value_key
 
 # =============================================================================
 # Fixtures and helpers
@@ -190,15 +193,15 @@ class TestCellViews:
 
     @pytest.mark.parametrize("s", [3, 5, 7])
     def test_rows_sized_once_for_the_whole_budget(self, s):
-        # The row arrays hold every cell the budget can pay for, so a run
-        # that spends it all fills them without reallocating.
+        # The box array holds every cell the budget can pay for, so a run
+        # that spends it all fills its rows without reallocating.
         for budget in range(1, 3 * s):
             obj = linear_objective(budget=budget)
             tree = new_tree((obj.lower, obj.upper), obj, SooParams(s_children=s))
-            rows = tree._lower
+            rows = tree._box
             while tree.remaining >= s - 1:
                 split_leaf(tree, tree.cells[-1].id)
-            assert tree._lower is rows
+            assert tree._box is rows
             assert len(tree.cells) == len(rows)
 
     def test_tree_is_freed_without_a_cycle_collection(self):
@@ -614,3 +617,122 @@ class TestPartitionProperties:
             assert not parent.is_leaf
             assert np.all(parent.lower <= cell.lower)
             assert np.all(cell.upper <= parent.upper)
+
+
+# =============================================================================
+# Geometry replay oracle
+# =============================================================================
+
+
+def replay_geometry(lower, upper, s, split_ids, fn):
+    """Every cell rebuilt from the split log with per-cell arrays.
+
+    Independent of the tree's storage: each child's box is a copy of its
+    parent's with the split dimension cut at lo + k * step (outer edges
+    reset to the parent's), its center is (lo + up) / 2, except for the
+    middle child, which takes its parent's center and value.  The split
+    dimension cycles from 0 and parents come from the log.
+    """
+    dim = lower.size
+    mid = (s - 1) // 2
+    center = (lower + upper) / 2.0
+    cells = [dict(lower=lower, upper=upper, center=center, parent=None,
+                  split_dim=0, depth=0, value=float(fn(center)))]
+    for leaf in split_ids:
+        p = cells[leaf]
+        d = p["split_dim"]
+        lo_d, up_d = p["lower"][d], p["upper"][d]
+        edges = lo_d + np.arange(s + 1) * ((up_d - lo_d) / s)
+        edges[0], edges[s] = lo_d, up_d
+        for k in range(s):
+            lo, up = p["lower"].copy(), p["upper"].copy()
+            lo[d], up[d] = edges[k], edges[k + 1]
+            if k == mid:
+                c, v = p["center"], p["value"]
+            else:
+                c = (lo + up) / 2.0
+                v = float(fn(c))
+            cells.append(dict(lower=lo, upper=up, center=c, parent=leaf,
+                              split_dim=(d + 1) % dim, depth=p["depth"] + 1,
+                              value=v))
+    return cells
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _crc_objective(lo, hi, salt, levels, nan_level):
+    """Stateless values from a CRC of the point's bytes: few levels, so
+    many ties, and one level may be NaN."""
+
+    def fn(x):
+        level = zlib.crc32(np.asarray(x, dtype=float).tobytes(), salt) % levels
+        return math.nan if level == nan_level else float(level)
+
+    return Objective(fn, lo, hi, budget=10**6)
+
+
+class TestGeometryReplay:
+    """The tree's derived fields and middle-child centers match the replay."""
+
+    @given(
+        s=st.sampled_from([3, 5, 7]),
+        dim=st.sampled_from([1, 2, 3, 10]),
+        narrow=st.booleans(),
+        corner=st.floats(min_value=-100.0, max_value=100.0),
+        widths=st.lists(
+            st.floats(min_value=1e-3, max_value=100.0), min_size=10, max_size=10
+        ),
+        salt=st.integers(min_value=0, max_value=2**32 - 1),
+        levels=st.integers(min_value=1, max_value=6),
+        nan_level=st.integers(min_value=-1, max_value=5),
+        chain=st.integers(min_value=4, max_value=7),
+        budget=st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cells_match_replay(
+        self, s, dim, narrow, corner, widths, salt, levels, nan_level, chain, budget
+    ):
+        if narrow:
+            # a tiny box far from the origin: edges and midpoints round,
+            # so a middle slab's own midpoint can miss its parent's center
+            lo = 1e6 + corner + np.arange(dim) * 0.37
+            hi = lo + np.array(widths[:dim]) * 1e-6
+        else:
+            lo = np.full(dim, corner)
+            hi = lo + np.array(widths[:dim])
+        obj = _crc_objective(lo, hi, salt, levels, nan_level)
+        tree = new_tree((lo, hi), obj, SooParams(s_children=s))
+        # a forced chain of nested middle children, then sweeps to budget
+        mid = (s - 1) // 2
+        cid = 0
+        for _ in range(chain):
+            cid = split_leaf(tree, cid)[mid]
+        while tree.eval_count < budget + chain * (s - 1):
+            try:
+                if not sweep(tree):
+                    break
+            except BudgetExhausted:
+                break
+
+        fn = obj.raw
+        cells = replay_geometry(lo, hi, s, tree.split_log, fn)
+        assert len(tree.cells) == len(cells)
+        split = set(tree.split_log)
+        for view, cell in zip(tree.cells, cells):
+            assert view.lower.tobytes() == cell["lower"].tobytes()
+            assert view.upper.tobytes() == cell["upper"].tobytes()
+            assert view.center.tobytes() == cell["center"].tobytes()
+            assert view.parent == cell["parent"]
+            assert view.split_dim == cell["split_dim"]
+            assert view.depth == cell["depth"]
+            assert _bits(view.value) == _bits(cell["value"])
+            assert view.is_leaf == (view.id not in split)
+
+        keys = [value_key(cell["value"]) for cell in cells]
+        best = keys.index(min(keys))
+        point, value, best_id = incumbent(tree)
+        assert best_id == best
+        assert _bits(value) == _bits(cells[best]["value"])
+        assert point.tobytes() == cells[best]["center"].tobytes()
