@@ -23,7 +23,9 @@ from soobox.objectives import SUITE_NAMES
 
 FIXTURE = Path(__file__).with_name("golden_traces.json")
 BUDGET = 1_000
-DIMS = (2, 10)
+DIMS = (1, 2, 3, 10)
+# (function, dim) cells the suite cannot build: rosenbrock needs dim >= 2
+UNBUILDABLE = {("rosenbrock", 1)}
 ALGORITHMS = ("soo", "soo-refine", "random", "ucb-grid")
 # one run deep enough for the log32 depth cap to bind repeatedly
 LONG_RUN = ("rastrigin", 10, "soo", 10_000)
@@ -37,6 +39,7 @@ def golden_configs() -> list[RunConfig]:
         for fn in SUITE_NAMES
         for dim in DIMS
         for algo in ALGORITHMS
+        if (fn, dim) not in UNBUILDABLE
     ]
     fn, dim, algo, budget = LONG_RUN
     configs.append(RunConfig(function=fn, dim=dim, budget=budget, algorithm=algo))
