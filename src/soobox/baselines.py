@@ -23,6 +23,7 @@ from .result import RunResult, TraceRecorder, ratio_to_optimum
 Array = np.ndarray
 
 DEFAULT_EXPLORATION = 2.0
+DEFAULT_GRID_RESOLUTION = 3
 GRID_ARM_CAP = 3 ** 6
 
 
@@ -74,12 +75,13 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
 
     Every arm must have been pulled at least once (the bonus is undefined
     at zero pulls), which the runners guarantee by an initialization round
-    in index order.
+    in index order.  When no score exceeds -inf (every mean is NaN or
+    -inf, as after non-finite objective values) arm 0 is chosen.
     """
     if stats.t < 1:
         raise UnpulledArm("no rounds have been played")
     log_t = math.log(stats.t)
-    best_arm = -1
+    best_arm = 0
     best_score = -math.inf
     for arm in range(stats.n_arms):
         n = stats.pulls[arm]
@@ -175,12 +177,11 @@ def _finish_run(
     objective: Objective,
     best_point: Array,
     trace: TraceRecorder,
-    evals: int,
 ) -> RunResult:
     return RunResult(
         best_point=best_point,
         best_value=trace.best_value,
-        evals_used=evals,
+        evals_used=len(trace.entries),
         trace=trace.entries,
         ratio=ratio_to_optimum(trace.best_value, objective.optimum_value),
     )
@@ -196,18 +197,15 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     rng = np.random.default_rng(seed)
     trace = TraceRecorder()
     best_point: Array | None = None
-    evals = 0
     for _ in range(budget):
         if objective.remaining < 1:
             break
         x = rng.uniform(objective.lower, objective.upper)
-        value = objective.evaluate(x)
-        evals += 1
-        if trace.record(value):
+        if trace.record(objective.evaluate(x)):
             best_point = x
     if best_point is None:
         raise BudgetExhausted("objective had no evaluations remaining")
-    return _finish_run(objective, best_point, trace, evals)
+    return _finish_run(objective, best_point, trace)
 
 
 def grid_divisions(dim: int, resolution: int, cap: int = GRID_ARM_CAP) -> list[int]:
@@ -232,7 +230,7 @@ def grid_divisions(dim: int, resolution: int, cap: int = GRID_ARM_CAP) -> list[i
 def run_ucb_grid(
     objective: Objective,
     budget: int,
-    resolution: int = 3,
+    resolution: int = DEFAULT_GRID_RESOLUTION,
     c: float = DEFAULT_EXPLORATION,
 ) -> RunResult:
     """Bandit over grid-cell centers: reward of an arm = -f(center).
@@ -254,21 +252,19 @@ def run_ucb_grid(
     stats = ArmStats(len(centers))
     trace = TraceRecorder()
     best_point: Array | None = None
-    evals = 0
 
     def pull(arm: int) -> None:
-        nonlocal best_point, evals
+        nonlocal best_point
         value = objective.evaluate(centers[arm])
-        evals += 1
         stats.update(arm, -value)
         if trace.record(value):
             best_point = centers[arm]
     for arm in range(len(centers)):
-        if evals >= budget or objective.remaining < 1:
+        if stats.t >= budget or objective.remaining < 1:
             break
         pull(arm)
-    while evals < budget and objective.remaining >= 1:
+    while stats.t < budget and objective.remaining >= 1:
         pull(ucb_select(stats, c))
     if best_point is None:
         raise BudgetExhausted("objective had no evaluations remaining")
-    return _finish_run(objective, best_point.copy(), trace, evals)
+    return _finish_run(objective, best_point.copy(), trace)

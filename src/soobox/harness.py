@@ -27,7 +27,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import run_random_search, run_ucb_grid
+from .baselines import (
+    DEFAULT_EXPLORATION,
+    DEFAULT_GRID_RESOLUTION,
+    run_random_search,
+    run_ucb_grid,
+)
 from .objectives import make_objective, suite_f_star
 from .refine import refine_budget_split, refine_run
 from .result import RunResult, ratio_to_optimum
@@ -61,8 +66,8 @@ class RunConfig:
     s_children: int = 3
     depth_schedule: DepthSchedule = field(default_factory=DepthSchedule.log32)
     seed: int = 0
-    grid_resolution: int = 3
-    exploration: float = 2.0
+    grid_resolution: int = DEFAULT_GRID_RESOLUTION
+    exploration: float = DEFAULT_EXPLORATION
     shift_seed: int = 0
     output_dir: Path | None = None
     formats: tuple[str, ...] = ("csv", "json")
@@ -157,7 +162,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def trace_csv_text(result: RunResult, f_star: float | None) -> str:
-    """The trace as CSV rows `eval_index,best_value,ratio`, one per evaluation.
+    """The trace as CSV rows `eval_index,best_value,ratio`; row i is evaluation i.
 
     The best-so-far value repeats over long runs of rows, so its text (and
     its ratio's) is formatted once per distinct value object.  No field
@@ -165,7 +170,7 @@ def trace_csv_text(result: RunResult, f_star: float | None) -> str:
     """
     lines = ["eval_index,best_value,ratio"]
     last = tail = None
-    for index, value in result.trace:
+    for index, value in enumerate(result.trace, start=1):
         if value is not last:
             last = value
             ratio = ratio_to_optimum(value, f_star)
@@ -175,17 +180,23 @@ def trace_csv_text(result: RunResult, f_star: float | None) -> str:
     return "\n".join(lines)
 
 
-def read_trace_csv(path: Path) -> list[tuple[int, float]]:
-    """Parse a trace file back to (eval_index, best_value) pairs.
+def read_trace_csv(path: Path) -> list[float]:
+    """Parse a trace file back to its best-so-far values, one per evaluation.
 
-    Raises ValueError when the file does not start with the trace header.
+    Raises ValueError when the file does not start with the trace header,
+    and when a row is blank, short, or not numbered 1..n in order.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if header[:2] != ["eval_index", "best_value"]:
             raise ValueError(f"{path} is not a trace file: header {header!r}")
-        return [(int(row[0]), float(row[1])) for row in reader]
+        values = []
+        for pos, row in enumerate(reader, start=1):
+            if len(row) < 2 or row[0] != str(pos):
+                raise ValueError(f"{path} row {pos} is not evaluation {pos}: {row!r}")
+            values.append(float(row[1]))
+        return values
 
 
 def _config_echo(config: RunConfig) -> dict:

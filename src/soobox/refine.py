@@ -271,9 +271,7 @@ def refine_run(
     nm_budget = min(reserve, objective.remaining)
     if nm_budget < objective.dim + 1:
         return result
-    trace = TraceRecorder(
-        start_index=result.evals_used, best_value=result.best_value
-    )
+    trace = TraceRecorder(best_value=result.best_value)
     nm = nelder_mead(objective, result.best_point, nm_budget, params, trace=trace)
     if value_key(nm.value) < value_key(result.best_value):
         best_point, best_value = nm.point, nm.value

@@ -1,11 +1,12 @@
-"""Run results and best-so-far trace bookkeeping.
+"""Run results and the best-so-far trace.
 
 Every optimizer in this package reports its work the same way: a
 :class:`RunResult` carrying the incumbent point/value, the number of
-objective evaluations consumed, and a trace with exactly one
-``(eval_index, best_so_far)`` pair per evaluation.  Indices start at 1 and
-the best-so-far sequence is monotone non-increasing under the ordering
-that treats non-finite values as +infinity.
+objective evaluations consumed, and a trace holding one best-so-far value
+per evaluation, so entry i - 1 is the best value after evaluation i.  The
+trace is the run's evaluation ledger: its length is the evaluation count,
+and the best-so-far sequence is monotone non-increasing under the
+ordering that treats non-finite values as +infinity.
 """
 
 from __future__ import annotations
@@ -35,17 +36,16 @@ def ratio_to_optimum(value: float, f_star: float | None) -> float | None:
 class TraceRecorder:
     """Accumulates the per-evaluation best-so-far trace.
 
-    The recorder can be seeded with a starting index and an incumbent value
-    so a second optimization stage appends to the trace of a first stage
-    without breaking monotonicity.  ``record`` returns True when the new
-    value strictly improves the incumbent (ties keep the earlier value).
+    The recorder can be primed with an incumbent value so a second
+    optimization stage appends to the trace of a first stage without
+    breaking monotonicity.  ``record`` returns True when the new value
+    strictly improves the incumbent (ties keep the earlier value).
     """
 
-    __slots__ = ("entries", "_index", "_best_key", "_best_raw", "_primed")
+    __slots__ = ("entries", "_best_key", "_best_raw", "_primed")
 
-    def __init__(self, start_index: int = 0, best_value: float | None = None):
-        self.entries: list[tuple[int, float]] = []
-        self._index = int(start_index)
+    def __init__(self, best_value: float | None = None):
+        self.entries: list[float] = []
         if best_value is None:
             self._primed = False
             self._best_key = math.inf
@@ -62,22 +62,13 @@ class TraceRecorder:
             self._primed = True
             self._best_key = key
             self._best_raw = float(value)
-        self._index += 1
-        self.entries.append((self._index, self._best_raw))
+        self.entries.append(self._best_raw)
         return improved
 
     @property
     def best_value(self) -> float:
         """Current incumbent value, verbatim (may be NaN before any record)."""
         return self._best_raw
-
-    @property
-    def best_key(self) -> float:
-        return self._best_key
-
-    @property
-    def next_index(self) -> int:
-        return self._index + 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +88,26 @@ class RunResult:
     best_point: np.ndarray
     best_value: float
     evals_used: int
-    trace: list[tuple[int, float]]
+    trace: list[float]
     ratio: float | None = None
     split_ids: tuple[int, ...] = field(default_factory=tuple)
-
-    def trace_values(self) -> list[float]:
-        return [v for _, v in self.trace]
 
     def check(self) -> None:
         """Validate the trace contract, raising ValueError on a breach.
 
-        One row per evaluation, indices 1..n, best-so-far monotone
-        non-increasing (non-finite values sort last), and the last row
-        matching best_value.  Cheap enough to call in tests.
+        One row per evaluation, best-so-far monotone non-increasing
+        (non-finite values sort last), and the last row matching
+        best_value.  Cheap enough to call in tests.
         """
         if len(self.trace) != self.evals_used:
             raise ValueError(
                 f"trace has {len(self.trace)} rows for {self.evals_used} evaluations"
             )
         prev_key = math.inf
-        for pos, (idx, val) in enumerate(self.trace, start=1):
-            if idx != pos:
-                raise ValueError(f"trace row {pos} has index {idx}")
+        for pos, val in enumerate(self.trace, start=1):
             key = value_key(val)
             if key > prev_key:
                 raise ValueError(f"trace row {pos} rises to {val!r}")
             prev_key = key
-        if self.trace and value_key(self.trace[-1][1]) != value_key(self.best_value):
+        if self.trace and value_key(self.trace[-1]) != value_key(self.best_value):
             raise ValueError("last trace row differs from best_value")

@@ -192,10 +192,10 @@ class CellsView(Sequence):
         self._tree = tree
 
     def __len__(self) -> int:
-        return self._tree._n
+        return len(self._tree._value)
 
     def __getitem__(self, index):
-        ids = range(self._tree._n)[index]
+        ids = range(len(self._tree._value))[index]
         if isinstance(index, slice):
             return [Cell(self._tree, i) for i in ids]
         return Cell(self._tree, ids)
@@ -206,7 +206,7 @@ class CellsView(Sequence):
 # ---------------------------------------------------------------------------
 
 class PartitionTree:
-    """Partition state plus the evaluation meter and trace for one run.
+    """Partition state plus the evaluation trace for one run.
 
     Cells live in the rows of one preallocated (rows, 3, D) array holding
     each cell's lower corner, upper corner and midpoint, plus per-cell
@@ -220,6 +220,10 @@ class PartitionTree:
     Leaves are tracked per depth in lazy-deletion min-heaps keyed by
     (value_key, id), so each sweep touches only the depths it visits and
     never rescans the whole frontier.
+
+    Nothing is counted twice: the best-so-far trace is the run's one
+    evaluation ledger, so eval_count is its length; max_leaf_depth is the
+    number of depth heaps minus one; and incumbent() scans the values.
     """
 
     def __init__(
@@ -237,8 +241,6 @@ class PartitionTree:
         self.dim = lower.size
         self.split_log: list[int] = []
         self.trace = TraceRecorder()
-        self.eval_count = 0
-        self.max_leaf_depth = 0
 
         s = self.params.s_children
         self._mid = (s - 1) // 2
@@ -250,7 +252,6 @@ class PartitionTree:
         self._require_budget(1)
         center = (lower + upper) / 2.0
         value = self.objective.evaluate(center)
-        self.eval_count = 1
         self.trace.record(value)
 
         rows = 1 + s * (self.remaining // (s - 1))  # root + affordable splits
@@ -259,12 +260,14 @@ class PartitionTree:
         self._value: list[float] = [value]
         self._depth: list[int] = [0]
         self._is_leaf: list[bool] = [True]
-        self._n = 1
-        key = value_key(value)
-        self._heaps: dict[int, list[tuple[float, int]]] = {0: [(key, 0)]}
-        self._best_key, self._best_id = key, 0
+        self._heaps: dict[int, list[tuple[float, int]]] = {0: [(value_key(value), 0)]}
 
     # -- evaluation plumbing ------------------------------------------------
+
+    @property
+    def eval_count(self) -> int:
+        """Evaluations consumed: one trace entry per evaluation."""
+        return len(self.trace.entries)
 
     @property
     def remaining(self) -> int:
@@ -280,6 +283,12 @@ class PartitionTree:
             )
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def max_leaf_depth(self) -> int:
+        """Depth of the deepest leaf: a depth's heap is created by the first
+        split that commits children there, so the depths are 0..len - 1."""
+        return len(self._heaps) - 1
 
     def _parent_id(self, cell_id: int) -> int | None:
         if cell_id == 0:
@@ -310,7 +319,7 @@ class PartitionTree:
         objective raises, the tree, its trace and the objective's meter are
         left untouched.  Returns the child ids in coordinate order.
         """
-        n = self._n
+        n = len(self._value)
         if not 0 <= leaf_id < n:
             raise ValueError(f"no cell with id {leaf_id}")
         if not self._is_leaf[leaf_id]:
@@ -346,26 +355,16 @@ class PartitionTree:
         values = fresh[:mid] + [parent_value] + fresh[mid:]
         child_depth = self._depth[leaf_id] + 1
         heap = self._heaps.setdefault(child_depth, [])
-        best_key = self._best_key
         for cid, value in enumerate(values, start=n):
-            key = value if isfinite(value) else math.inf
-            heappush(heap, (key, cid))
-            if key < best_key:
-                best_key = key
-                self._best_id = cid
-        self._best_key = best_key
+            heappush(heap, (value if isfinite(value) else math.inf, cid))
         record = self.trace.record
         for value in fresh:
             record(value)
-        self.eval_count += s - 1
         self._value.extend(values)
         self._depth.extend([child_depth] * s)
         self._is_leaf.extend([True] * s)
         self._is_leaf[leaf_id] = False
-        self._n = end
         self.split_log.append(leaf_id)
-        if child_depth > self.max_leaf_depth:
-            self.max_leaf_depth = child_depth
         return list(range(n, end))
 
     def _peek_leaf(self, depth: int) -> tuple[float, int] | None:
@@ -421,17 +420,20 @@ class PartitionTree:
     def incumbent(self) -> tuple[Array, float, int]:
         """Best evaluated point: (center copy, value, cell id).
 
-        Ties go to the smallest id, which is the earliest-created cell;
-        middle children share their ancestor's value but carry larger ids,
-        so a reused center never displaces the cell that paid for it.  The
-        point is always that of the cell that paid for the value.
+        The cell is the first id with the smallest value_key, which is the
+        earliest-created cell among ties; middle children share their
+        ancestor's value but carry larger ids, so a reused center never
+        displaces the cell that paid for it.  The point is always that of
+        the cell that paid for the value.
         """
-        cid = self._best_id
+        keys = np.array(self._value)
+        keys[~np.isfinite(keys)] = math.inf
+        cid = int(keys.argmin())  # the first occurrence of the minimum
         return self._box[self._paid_id(cid), 2].copy(), self._value[cid], cid
 
     def leaves(self):
         """Views of the current leaves, in id order."""
-        return (Cell(self, i) for i in range(self._n) if self._is_leaf[i])
+        return (Cell(self, i) for i in range(len(self._value)) if self._is_leaf[i])
 
 
 # ---------------------------------------------------------------------------

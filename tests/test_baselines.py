@@ -8,6 +8,7 @@ import pytest
 
 from soobox import (
     ArmStats,
+    Objective,
     UnpulledArm,
     bernoulli_arms,
     constant_arms,
@@ -88,6 +89,17 @@ class TestUcbSelect:
         stats = stats_from([(0.2, 3)])
         assert ucb_select(stats) == 0
 
+    @pytest.mark.parametrize("mean", [math.nan, -math.inf])
+    def test_no_score_above_minus_inf_picks_arm_zero(self, mean):
+        # an objective value of NaN or +inf leaves a reward mean of NaN or -inf
+        assert ucb_select(stats_from([(mean, 2)])) == 0
+        assert ucb_select(stats_from([(mean, 1), (-math.inf, 3)])) == 0
+
+    def test_single_arm_grid_survives_an_infinite_value(self):
+        obj = Objective(lambda x: math.inf, np.zeros(2), np.ones(2), budget=5)
+        result = run_ucb_grid(obj, 5, resolution=1)
+        assert obj.meter == result.evals_used == len(result.trace) == 5
+
     def test_unpulled_arm_rejected(self):
         stats = ArmStats(2)
         stats.update(0, 1.0)
@@ -166,8 +178,7 @@ class TestRandomSearch:
         obj = make_objective("sphere", 2, budget=10)
         result = run_random_search(obj, budget=1, seed=3)
         assert result.evals_used == 1
-        assert len(result.trace) == 1
-        assert result.trace[0][0] == 1
+        assert result.trace == [result.best_value]
 
     def test_same_seed_identical_result(self):
         r1 = run_random_search(make_objective("ackley", 3, budget=500), 500, seed=9)

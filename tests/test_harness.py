@@ -41,7 +41,7 @@ def csv_writer_trace_text(result, f_star):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["eval_index", "best_value", "ratio"])
-    for index, value in result.trace:
+    for index, value in enumerate(result.trace, start=1):
         ratio = "" if f_star in (None, 0.0) else format(value / f_star, ".17g")
         writer.writerow([index, format(value, ".17g"), ratio])
     return buf.getvalue()
@@ -51,10 +51,9 @@ TRACE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 123.456, -7.0,
 
 
 def _result_with_trace(values):
-    trace = [(i, v) for i, v in enumerate(values, start=1)]
     return RunResult(
         best_point=np.zeros(1), best_value=values[-1] if values else math.nan,
-        evals_used=len(values), trace=trace,
+        evals_used=len(values), trace=list(values),
     )
 
 
@@ -90,6 +89,29 @@ class TestTraceCsv:
             with pytest.raises(ValueError):
                 read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "1,2.0,\n2\n",  # short row
+            "1,2.0,\n\n2,1.0,\n",  # blank row
+            "1,2.0,\n3,1.0,\n",  # skipped index
+            "2,2.0,\n",  # first row is not evaluation 1
+            "1,2.0,\n1,1.0,\n",  # repeated index
+        ],
+        ids=["short", "blank", "skipped", "late-start", "repeated"],
+    )
+    def test_misnumbered_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("eval_index,best_value,ratio\n" + rows)
+        with pytest.raises(ValueError):
+            read_trace_csv(path)
+
+    def test_reads_values_in_evaluation_order(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("eval_index,best_value,ratio\n1,3.5,\n2,nan,\n3,-1e-300,2\n")
+        parsed = read_trace_csv(path)
+        assert parsed[::2] == [3.5, -1e-300] and math.isnan(parsed[1])
+
 
 class TestTraceContract:
     def test_valid_trace_passes(self):
@@ -99,11 +121,11 @@ class TestTraceContract:
     @pytest.mark.parametrize(
         "trace, evals_used, best",
         [
-            ([(1, 2.0), (2, 3.0)], 2, 3.0),  # best-so-far rises
-            ([(1, 2.0), (2, math.nan)], 2, math.nan),  # rises to non-finite
-            ([(1, 2.0), (3, 1.0)], 2, 1.0),  # skipped index
-            ([(1, 2.0)], 2, 2.0),  # fewer rows than evaluations
-            ([(1, 2.0), (2, 1.0)], 2, 2.0),  # last row is not best_value
+            ([2.0, 3.0], 2, 3.0),  # best-so-far rises
+            ([2.0, math.nan], 2, math.nan),  # rises to non-finite
+            ([2.0, 1.0, 1.0], 2, 1.0),  # more rows than evaluations
+            ([2.0], 2, 2.0),  # fewer rows than evaluations
+            ([2.0, 1.0], 2, 2.0),  # last row is not best_value
         ],
     )
     def test_broken_trace_raises(self, trace, evals_used, best):

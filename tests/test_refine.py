@@ -214,7 +214,7 @@ class TestRefineRun:
         first, merged, _ = hybrid("ackley", 2, 1500)
         merged.check()
         assert merged.trace[: len(first.trace)] == first.trace
-        assert merged.trace[-1][1] == merged.best_value
+        assert merged.trace[-1] == merged.best_value
 
     def test_refinement_polishes_smooth_convex(self):
         # From any start with a gap <= 1, the refiner must reach 1e-6

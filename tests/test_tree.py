@@ -6,6 +6,7 @@ import struct
 import weakref
 import zlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,22 @@ class TestDepthSchedules:
         for t in (3, 17, 999, 12345):
             assert max_depth(t) == max(1, math.floor(math.log(t) ** 1.5))
 
+    def test_log32_steps_match_mpmath(self):
+        # The cap reaches k at t_k = ceil(exp(k^(2/3))); check t_k - 2 ..
+        # t_k + 2 at every step up to 10^9, where (ln t)^(3/2) lands
+        # closest to an integer and double rounding would show first.
+        schedule = DepthSchedule.log32()
+        checked = 0
+        with mp.workdps(60):
+            k = 1
+            while (t_k := int(mp.ceil(mp.exp(mp.mpf(k) ** (mp.mpf(2) / 3))))) <= 10**9:
+                for t in range(t_k - 2, t_k + 3):
+                    expected = max(1, int(mp.floor(mp.log(t) ** mp.mpf(1.5))))
+                    assert schedule.limit(t) == expected, (k, t)
+                    checked += 1
+                k += 1
+        assert (k - 1, checked) == (94, 470)
+
     def test_constant_schedule(self):
         assert max_depth(10**6, DepthSchedule.constant(4)) == 4
         assert max_depth(1, DepthSchedule.constant(0)) == 0
@@ -500,10 +517,11 @@ class TestRunSoo:
         assert np.array_equal(r1.best_point, r2.best_point)
 
     def test_trace_contract(self):
-        result = run_soo(make_objective("griewank", 3, budget=999), 999)
+        obj = make_objective("griewank", 3, budget=999)
+        result = run_soo(obj, 999)
         result.check()
-        assert result.trace[0][0] == 1
-        values = result.trace_values()
+        assert result.trace[0] == obj.raw(np.zeros(3))  # the root's center
+        values = result.trace
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_ratio_at_least_one(self):
