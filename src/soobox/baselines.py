@@ -25,6 +25,7 @@ Array = np.ndarray
 DEFAULT_EXPLORATION = 2.0
 DEFAULT_GRID_RESOLUTION = 3
 GRID_ARM_CAP = 3 ** 6
+RANDOM_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -33,17 +34,19 @@ GRID_ARM_CAP = 3 ** 6
 
 
 class ArmStats:
-    """Pull counts and reward sums for K arms.
+    """Pull counts and reward sums for K arms, as numpy arrays.
 
-    Means are kept as (sum, count) pairs so each empirical mean is the
-    exact running average of that arm's rewards.
+    `pulls` is an int64 array and the sums a float64 array, so ucb_select
+    scores every arm in one vector expression.  Means are kept as
+    (sum, count) pairs so each empirical mean is the exact running
+    average of that arm's rewards.
     """
 
     def __init__(self, n_arms: int):
         if n_arms < 1:
             raise ValueError(f"need at least one arm, got {n_arms}")
-        self.pulls = [0] * n_arms
-        self._sums = [0.0] * n_arms
+        self.pulls = np.zeros(n_arms, dtype=np.int64)
+        self._sums = np.zeros(n_arms, dtype=np.float64)
         self.t = 0
 
     @property
@@ -53,13 +56,14 @@ class ArmStats:
     def mean(self, arm: int) -> float:
         if self.pulls[arm] == 0:
             raise UnpulledArm(f"arm {arm} has no observations")
-        return self._sums[arm] / self.pulls[arm]
+        return float(self._sums[arm] / self.pulls[arm])
 
     @property
     def means(self) -> list[float]:
         """Per-arm empirical means, NaN for arms never pulled."""
         return [
-            s / n if n else math.nan for s, n in zip(self._sums, self.pulls)
+            s / n if n else math.nan
+            for s, n in zip(self._sums.tolist(), self.pulls.tolist())
         ]
 
     def update(self, arm: int, reward: float) -> None:
@@ -70,6 +74,12 @@ class ArmStats:
         self.t += 1
 
 
+def check_exploration(c: float, name: str = "c") -> None:
+    """Reject an exploration constant that is not finite and >= 0."""
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {c}")
+
+
 def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     """Arm maximizing mean + sqrt(c * ln t / pulls); ties to smallest index.
 
@@ -78,20 +88,20 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     in index order.  When no score exceeds -inf (every mean is NaN or
     -inf, as after non-finite objective values) arm 0 is chosen.
     """
+    check_exploration(c)
     if stats.t < 1:
         raise UnpulledArm("no rounds have been played")
-    log_t = math.log(stats.t)
-    best_arm = 0
-    best_score = -math.inf
-    for arm in range(stats.n_arms):
-        n = stats.pulls[arm]
-        if n == 0:
-            raise UnpulledArm(f"arm {arm} has no observations")
-        score = stats._sums[arm] / n + math.sqrt(c * log_t / n)
-        if score > best_score:
-            best_score = score
-            best_arm = arm
-    return best_arm
+    pulls = stats.pulls
+    if np.count_nonzero(pulls) < len(pulls):
+        raise UnpulledArm(f"arm {int(pulls.argmin())} has no observations")
+    score = stats._sums / pulls + np.sqrt(c * math.log(stats.t) / pulls)
+    best = score.argmax()
+    # argmax returns the first NaN when there is one, but a NaN score never
+    # wins, so NaN scores become -inf and the argmax is taken again
+    if math.isnan(score[best]):
+        score[np.isnan(score)] = -math.inf
+        best = score.argmax()
+    return int(best)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +139,7 @@ def run_ucb(
         raise ValueError("need at least one reward source")
     if horizon < k:
         raise ValueError(f"horizon {horizon} cannot cover {k} arms")
+    check_exploration(c)
     stats = ArmStats(k)
     history: list[tuple[int, float]] = []
 
@@ -190,22 +201,30 @@ def _finish_run(
 def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult:
     """Evaluate i.i.d. uniform points from a seeded generator.
 
-    Stops early only if the objective's own budget runs dry first.
+    Points are drawn and evaluated in blocks of up to RANDOM_BLOCK rows:
+    one `rng.uniform(lower, upper, size=(k, D))` draw yields the same
+    stream as k single-point draws, and each block goes through the
+    metered, all-or-nothing Objective.evaluate_batch.  If an evaluation
+    raises, the meter therefore stays at the start of its block; no
+    value from that block was handed back.  Stops early only if the
+    objective's own budget runs dry first.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
     trace = TraceRecorder()
     best_point: Array | None = None
-    for _ in range(budget):
-        if objective.remaining < 1:
-            break
-        x = rng.uniform(objective.lower, objective.upper)
-        if trace.record(objective.evaluate(x)):
-            best_point = x
+    done = 0
+    while done < budget and objective.remaining >= 1:
+        k = min(RANDOM_BLOCK, budget - done, objective.remaining)
+        points = rng.uniform(objective.lower, objective.upper, size=(k, objective.dim))
+        for row, value in enumerate(objective.evaluate_batch(points)):
+            if trace.record(value):
+                best_point = points[row]
+        done += k
     if best_point is None:
         raise BudgetExhausted("objective had no evaluations remaining")
-    return _finish_run(objective, best_point, trace)
+    return _finish_run(objective, best_point.copy(), trace)
 
 
 def grid_divisions(dim: int, resolution: int, cap: int = GRID_ARM_CAP) -> list[int]:
@@ -242,6 +261,7 @@ def run_ucb_grid(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    check_exploration(c)
     divisions = grid_divisions(objective.dim, resolution)
     axes = []
     for j, m in enumerate(divisions):

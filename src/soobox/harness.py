@@ -30,6 +30,7 @@ from pathlib import Path
 from .baselines import (
     DEFAULT_EXPLORATION,
     DEFAULT_GRID_RESOLUTION,
+    check_exploration,
     run_random_search,
     run_ucb_grid,
 )
@@ -92,10 +93,7 @@ class RunConfig:
             raise ValueError(
                 f"grid_resolution must be >= 1, got {self.grid_resolution}"
             )
-        if not (math.isfinite(self.exploration) and self.exploration >= 0.0):
-            raise ValueError(
-                f"exploration must be finite and >= 0, got {self.exploration}"
-            )
+        check_exploration(self.exploration, "exploration")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown format {fmt!r}")

@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soobox import (
     ArmStats,
@@ -19,6 +21,7 @@ from soobox import (
     ucb_select,
 )
 from soobox.baselines import grid_divisions
+from soobox.result import TraceRecorder
 
 # =============================================================================
 # Arm statistics
@@ -118,6 +121,62 @@ class TestUcbSelect:
         assert ucb_select(stats, c=2.0) == 0
         assert ucb_select(stats, c=0.01) == 1  # bonus nearly gone
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+    def test_bad_constant_rejected(self, c):
+        # from the first round on, where ln t = 0 used to hide a negative c
+        for stats in (stats_from([(0.3, 1)]), stats_from([(0.3, 5), (0.4, 10)])):
+            with pytest.raises(ValueError, match="c must be finite and >= 0"):
+                ucb_select(stats, c)
+        # the runners check before the first pull, even with no UCB round
+        with pytest.raises(ValueError, match="c must be finite and >= 0"):
+            run_ucb(constant_arms([0.2, 0.8]), horizon=2, c=c)
+        obj = make_objective("sphere", 2, budget=4)
+        with pytest.raises(ValueError, match="c must be finite and >= 0"):
+            run_ucb_grid(obj, 4, c=c)
+        assert obj.meter == 0
+
+
+def reference_ucb_select(stats, c):
+    """The scalar selection loop ucb_select replaced: strict > from -inf."""
+    log_t = math.log(stats.t)
+    best_arm = 0
+    best_score = -math.inf
+    for arm, (s, n) in enumerate(zip(stats._sums.tolist(), stats.pulls.tolist())):
+        score = s / n + math.sqrt(c * log_t / n)
+        if score > best_score:
+            best_score = score
+            best_arm = arm
+    return best_arm
+
+
+REWARD_SUMS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+)
+ARMS = st.tuples(REWARD_SUMS, st.integers(1, 1000))
+
+
+@st.composite
+def pulled_stats(draw):
+    """ArmStats with every arm pulled; arms repeat from a small pool for ties."""
+    pool = draw(st.lists(ARMS, min_size=1, max_size=4))
+    arms = draw(
+        st.lists(st.one_of(st.sampled_from(pool), ARMS), min_size=1, max_size=800)
+    )
+    stats = ArmStats(len(arms))
+    for arm, (total, pulls) in enumerate(arms):
+        stats._sums[arm] = total
+        stats.pulls[arm] = pulls
+    stats.t = sum(pulls for _, pulls in arms)
+    return stats
+
+
+class TestUcbSelectOracle:
+    @given(stats=pulled_stats(), c=st.sampled_from([0.0, 0.01, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_vector_rule_picks_the_scalar_loops_arm(self, stats, c):
+        assert ucb_select(stats, c) == reference_ucb_select(stats, c)
+
 
 # =============================================================================
 # Bandit runner
@@ -131,7 +190,7 @@ class TestRunUcb:
 
     def test_single_arm_takes_every_pull(self):
         run = run_ucb(constant_arms([0.3]), horizon=20)
-        assert run.stats.pulls == [20]
+        assert run.stats.pulls.tolist() == [20]
         assert run.recommendation == 0
 
     def test_deterministic_arms_recommend_the_best(self):
@@ -209,6 +268,45 @@ class TestRandomSearch:
         obj = make_objective("sphere", 2, budget=10)
         with pytest.raises(ValueError):
             run_random_search(obj, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "budget, objective_budget",
+        [(1, 1), (1023, 1023), (1024, 1024), (1025, 1025), (3000, 3000), (3000, 1500)],
+    )
+    def test_blocks_match_per_point_draws(self, budget, objective_budget):
+        # the reference draws and evaluates one point at a time
+        reference = make_objective("rastrigin", 3, budget=objective_budget)
+        rng = np.random.default_rng(4)
+        trace = TraceRecorder()
+        best_point = None
+        for _ in range(budget):
+            if reference.remaining < 1:
+                break
+            x = rng.uniform(reference.lower, reference.upper)
+            if trace.record(reference.evaluate(x)):
+                best_point = x
+
+        obj = make_objective("rastrigin", 3, budget=objective_budget)
+        result = run_random_search(obj, budget, seed=4)
+        assert result.trace == trace.entries
+        assert result.best_point.tobytes() == best_point.tobytes()
+        assert result.evals_used == len(trace.entries) == min(budget, objective_budget)
+        assert obj.meter == reference.meter
+
+    def test_raising_evaluation_meters_nothing_of_its_block(self):
+        calls = 0
+
+        def fn(x):
+            nonlocal calls
+            calls += 1
+            if calls == 1500:
+                raise RuntimeError("injected")
+            return float(x.sum())
+
+        obj = Objective(fn, -np.ones(2), np.ones(2), budget=3000)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_random_search(obj, 3000, seed=0)
+        assert obj.meter == 1024
 
 
 # =============================================================================
