@@ -10,6 +10,15 @@ any platform, produce bit-identical problem instances from the same seed.
 
 All optimizers consume objectives through :class:`Objective`, which meters
 every evaluation against a hard budget and rejects points outside the box.
+
+Evaluation works on blocks.  Each suite function maps an (m, D) block of
+points to its m values in one numpy pass, and every value is bit-identical
+to the same function evaluated on that row alone.  Objective.evaluate_batch
+makes one call per block; evaluate and raw pass the (1, D) block holding
+their point through the same call.  A user function written per point is
+wrapped once in a row loop (Objective's vectorized=False, the default).  A
+block is metered all-or-nothing: a call that raises, or returns other than
+m values, meters nothing of its block.
 """
 
 from __future__ import annotations
@@ -93,90 +102,102 @@ def shift_from_seed(seed: int, dim: int) -> Array:
 # base functions, g(0) = 0 exactly
 # ---------------------------------------------------------------------------
 
-# Reductions are ndarray methods (z.sum(), not np.sum(z)): the same ufunc
-# reduce, without np.sum's Python-level dispatch on every evaluation.
+# Each base function maps an (m, D) block to its m values in one numpy pass,
+# bit-identical to the function on each row alone: element-wise ops do not
+# depend on the block, a reduction along axis 1 runs the same loop per row as
+# over a 1-D point, and np.vecdot runs np.dot's BLAS loop per row.  Do not
+# swap in np.einsum or the matmul operator, which regroup those sums, or
+# np.exp for math.exp, which differ in the last bit on some inputs.
+# Reductions are ndarray methods (z.sum(axis=1), not np.sum(z, axis=1)): the
+# same ufunc reduce, without np.sum's Python-level dispatch.
 
 
-def _sphere(dim: int) -> Callable[[Array], float]:
-    def g(z: Array) -> float:
-        return float(np.dot(z, z))
+def _sphere(dim: int) -> Callable[[Array], Array]:
+    def g(z: Array) -> Array:
+        return np.vecdot(z, z)
 
     return g
 
 
-def _ellipsoid(dim: int) -> Callable[[Array], float]:
+def _ellipsoid(dim: int) -> Callable[[Array], Array]:
     # Axis weights 1..D: mildly ill-conditioned, enough to separate the
     # axes without making the basin numerically hostile to refinement.
     w = np.arange(1.0, dim + 1.0)
 
-    def g(z: Array) -> float:
-        return float(np.dot(w, z * z))
+    def g(z: Array) -> Array:
+        return np.vecdot(z * z, w)
 
     return g
 
 
-def _rosenbrock(dim: int) -> Callable[[Array], float]:
+def _rosenbrock(dim: int) -> Callable[[Array], Array]:
     # Classic banana valley expressed around its own optimum: substituting
     # w = z + 1 puts the minimizer at z = 0 with value 0 exactly.
-    def g(z: Array) -> float:
+    def g(z: Array) -> Array:
         w = z + 1.0
-        a = w[1:] - w[:-1] ** 2
-        b = 1.0 - w[:-1]
-        return float((100.0 * a * a + b * b).sum())
+        a = w[:, 1:] - w[:, :-1] ** 2
+        b = 1.0 - w[:, :-1]
+        return (100.0 * a * a + b * b).sum(axis=1)
 
     return g
 
 
-def _rastrigin(dim: int) -> Callable[[Array], float]:
-    def g(z: Array) -> float:
-        return float(10.0 * dim + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum())
+def _rastrigin(dim: int) -> Callable[[Array], Array]:
+    def g(z: Array) -> Array:
+        return 10.0 * dim + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum(axis=1)
 
     return g
 
 
-def _ackley(dim: int) -> Callable[[Array], float]:
+def _ackley(dim: int) -> Callable[[Array], Array]:
     # Grouped so both exponential terms cancel exactly at z = 0:
     # 20 - 20*exp(0) == 0 and e - exp(cos-mean of 1) == 0 in doubles.
+    # A mean is spelled sum / dim, which is what ndarray.mean computes.
     e1 = math.exp(1.0)
 
-    def g(z: Array) -> float:
-        rms = math.sqrt(float((z * z).mean()))
-        cos_mean = float(np.cos(2.0 * np.pi * z).mean())
-        return (20.0 - 20.0 * math.exp(-0.2 * rms)) + (e1 - math.exp(cos_mean))
+    def g(z: Array) -> Array:
+        rms = np.sqrt((z * z).sum(axis=1) / dim)
+        cos_mean = np.cos(2.0 * np.pi * z).sum(axis=1) / dim
+        return np.array(
+            [
+                (20.0 - 20.0 * math.exp(-0.2 * r)) + (e1 - math.exp(c))
+                for r, c in zip(rms.tolist(), cos_mean.tolist())
+            ]
+        )
 
     return g
 
 
-def _griewank(dim: int) -> Callable[[Array], float]:
+def _griewank(dim: int) -> Callable[[Array], Array]:
     root_index = np.sqrt(np.arange(1.0, dim + 1.0))
 
-    def g(z: Array) -> float:
-        return float((z * z).sum() / 4000.0 + 1.0 - np.cos(z / root_index).prod())
+    def g(z: Array) -> Array:
+        return (z * z).sum(axis=1) / 4000.0 + 1.0 - np.cos(z / root_index).prod(axis=1)
 
     return g
 
 
-def _styblinski_tang(dim: int) -> Callable[[Array], float]:
+def _styblinski_tang(dim: int) -> Callable[[Array], Array]:
     # Each coordinate contributes its quartic minus the quartic's minimum,
     # evaluated at the frozen argmin so the optimum lands on 0.0 exactly.
-    def g(z: Array) -> float:
+    def g(z: Array) -> Array:
         v = z + _ST_ARGMIN
-        return float((_st_poly(v) - _ST_PERDIM_MIN).sum())
+        return (_st_poly(v) - _ST_PERDIM_MIN).sum(axis=1)
 
     return g
 
 
-def _composite3(dim: int) -> Callable[[Array], float]:
+def _composite3(dim: int) -> Callable[[Array], Array]:
     parts = (_sphere(dim), _rastrigin(dim), _ackley(dim))
 
-    def g(z: Array) -> float:
+    def g(z: Array) -> Array:
         return parts[0](z) + parts[1](z) + parts[2](z)
 
     return g
 
 
 # name -> (builder, minimum supported dimension)
-_BUILDERS: dict[str, tuple[Callable[[int], Callable[[Array], float]], int]] = {
+_BUILDERS: dict[str, tuple[Callable[[int], Callable[[Array], Array]], int]] = {
     "sphere": (_sphere, 1),
     "ellipsoid": (_ellipsoid, 1),
     "rosenbrock": (_rosenbrock, 2),
@@ -207,14 +228,42 @@ def checked_box(lower, upper) -> tuple[Array, Array]:
     return lower, upper
 
 
+def _row_loop(fn: Callable[[Array], float]) -> Callable[[Array], list[float]]:
+    """Block form of a per-point function: fn on each 1-D row, in order."""
+
+    def block_fn(points: Array) -> list[float]:
+        return [float(fn(row)) for row in points]
+
+    return block_fn
+
+
+def _block_values(fn: Callable[[Array], object], points: Array) -> list[float]:
+    """fn's values on an (m, D) block as m Python floats; raises ValueError
+    when fn returns any other number of values."""
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(
+            f"objective function returned shape {values.shape} "
+            f"for a block of {len(points)} points"
+        )
+    return values.tolist()
+
+
 class Objective:
     """A black-box function on a box, metered against a hard budget.
 
+    fn maps one 1-D point to its value.  With vectorized=True, in the sense
+    of scipy's vectorized=, fn maps an (m, D) block of points to their m
+    values instead, and evaluate() and raw() hand it the (1, D) block
+    holding their point.  A per-point fn is wrapped once in a row loop, so
+    every entry point makes one call per block.
+
     evaluate() raises BudgetExhausted once the meter reaches the budget and
     OutOfBounds for points outside the box; neither failure advances the
-    meter.  The meter counts returned values only: an evaluation whose
-    function raises is not metered.  Values come back verbatim, including
-    non-finite ones.
+    meter, and both are checked before fn is called.  The meter counts
+    returned values only: a call that raises, or a block function that
+    returns other than m values (ValueError), meters nothing of its block.
+    Values come back verbatim as Python floats, including non-finite ones.
     """
 
     def __init__(
@@ -224,6 +273,7 @@ class Objective:
         upper,
         budget: int,
         *,
+        vectorized: bool = False,
         name: str = "custom",
         index: int | None = None,
         bias: float = 0.0,
@@ -235,13 +285,13 @@ class Objective:
         budget = int(budget)
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
-        self._fn = fn
+        self._fn = fn if vectorized else _row_loop(fn)
         self.lower = lower
         self.upper = upper
         self.budget = budget
         self.meter = 0
-        # bounds tiled to each flattened block size checked so far; the
-        # box is fixed at construction
+        # bounds tiled to the flattened size of one point and of the most
+        # recent block; the box is fixed at construction
         self._tiled = {lower.size: (lower, upper)}
         self.name = name
         self.index = index
@@ -270,14 +320,16 @@ class Objective:
         if tiled is None:
             reps = flat.size // self.lower.size
             tiled = np.tile(self.lower, reps), np.tile(self.upper, reps)
-            self._tiled[flat.size] = tiled
+            # keep the single-point pair; drop the previous block size's
+            point = self._tiled[self.lower.size]
+            self._tiled = {self.lower.size: point, flat.size: tiled}
         lower, upper = tiled
         inside = np.count_nonzero(lower <= flat) + np.count_nonzero(flat <= upper)
         if inside != 2 * flat.size:
             raise OutOfBounds("point lies outside the objective's box")
 
     def evaluate(self, x) -> float:
-        """f(x) for one point.
+        """f(x) for one point, computed as the (1, D) block holding x.
 
         The meter advances only when the function returns; if it raises,
         the exception propagates and nothing is metered.
@@ -290,7 +342,7 @@ class Objective:
                 f"budget of {self.budget} evaluations already consumed"
             )
         self._require_inside(x)
-        value = float(self._fn(x))
+        value = _block_values(self._fn, x[np.newaxis])[0]
         self.meter += 1
         return value
 
@@ -298,11 +350,11 @@ class Objective:
         """f at each row of an (m, dim) block, metered as one step.
 
         One shape, budget and bounds check covers the whole block, and the
-        function is still called on each 1-D row, so every value is
-        bit-identical to evaluate() on that row.  The batch is
-        all-or-nothing: the meter advances by m only when every call
-        returned; if any raises, the exception propagates and nothing is
-        metered.
+        function is called once on the block (a per-point function once per
+        row).  Every value is bit-identical to evaluate() on its row.  The
+        batch is all-or-nothing: the meter advances by m only when the call
+        returned m values; if it raises, the exception propagates and
+        nothing is metered.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.lower.size:
@@ -313,14 +365,13 @@ class Objective:
                 f"batch of {m} evaluations exceeds the {self.remaining} left"
             )
         self._require_inside(points)
-        fn = self._fn
-        values = [float(fn(row)) for row in points]
+        values = _block_values(self._fn, points)
         self.meter += m
         return values
 
     def raw(self, x) -> float:
-        """Evaluate without metering or bounds checks (testing oracle)."""
-        return float(self._fn(np.asarray(x, dtype=float)))
+        """Evaluate one point without metering or bounds checks (testing oracle)."""
+        return _block_values(self._fn, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def known_optimum(self) -> tuple[Array, float] | None:
         """(argmin, min value) when the instance was built with one."""
@@ -370,14 +421,15 @@ def make_objective(
         raise ValueError("shift must lie strictly inside the box")
     g = builder(dim)
 
-    def fn(x: Array) -> float:
-        return bias + g(x - shift_vec)
+    def fn(points: Array) -> Array:
+        return bias + g(points - shift_vec)
 
     return Objective(
         fn,
         lower,
         upper,
         budget,
+        vectorized=True,
         name=name,
         index=SUITE_NAMES.index(name) + 1,
         bias=bias,
@@ -396,8 +448,8 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
     """
     base_fn = objective._fn
 
-    def fn(x: Array) -> float:
-        return float(g(base_fn(x)))
+    def fn(points: Array) -> list[float]:
+        return [float(g(value)) for value in _block_values(base_fn, points)]
 
     opt_val = None
     if objective.optimum_value is not None:
@@ -407,6 +459,7 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
         objective.lower.copy(),
         objective.upper.copy(),
         objective.budget,
+        vectorized=True,
         name=f"{label}({objective.name})",
         index=objective.index,
         bias=0.0,

@@ -111,11 +111,10 @@ class TestOptimumExactness:
         for dim in (2, 10):
             if name == "rosenbrock" and dim < 2:
                 continue
-            obj = make_objective(name, dim, budget=0)
+            obj = make_objective(name, dim, budget=10**5)
             samples = rng.uniform(-5.0, 5.0, size=(10**5, dim))
             f_star = obj.optimum_value
-            for x in samples:
-                assert obj.raw(x) >= f_star
+            assert all(value >= f_star for value in obj.evaluate_batch(samples))
 
 
 # =============================================================================
@@ -236,6 +235,271 @@ class TestEvaluateBatch:
             with pytest.raises(ValueError):
                 obj.evaluate_batch(bad)
         assert obj.meter == 0
+
+    def test_tiled_bounds_cache_stays_bounded(self):
+        # one pair for a single point plus one for the latest block size
+        obj = make_objective("sphere", 10, budget=10**6)
+        for m in range(1, 401):
+            obj.evaluate_batch(np.zeros((m, 10)))
+        assert len(obj._tiled) <= 2
+        meter = obj.meter
+        for bad in (5.1, -5.0000001, math.nan):
+            x = np.zeros(10)
+            x[3] = bad
+            with pytest.raises(OutOfBounds):
+                obj.evaluate(x)
+            for rows in (1, 399):  # a new block size, then the cached one
+                with pytest.raises(OutOfBounds):
+                    obj.evaluate_batch(np.vstack([np.zeros((rows, 10)), x]))
+        assert obj.meter == meter
+        assert len(obj._tiled) <= 2
+
+
+class TestVectorized:
+    """Objective(fn, ..., vectorized=True): fn maps an (m, D) block to m values."""
+
+    def recording(self, calls, shift=0):
+        """Block sphere that logs each block's shape; returns m + shift values."""
+
+        def fn(points):
+            calls.append(points.shape)
+            values = (points * points).sum(axis=1)
+            return np.resize(values, len(values) + shift)
+
+        return fn
+
+    def test_each_entry_point_hands_fn_one_block(self):
+        calls = []
+        obj = Objective(self.recording(calls), np.zeros(3), np.ones(3), 10,
+                        vectorized=True)
+        assert obj.evaluate([0.5, 0.5, 0.5]) == 0.75
+        assert obj.evaluate_batch(np.full((4, 3), 0.5)) == [0.75] * 4
+        assert obj.raw([0.5, 0.5, 0.5]) == 0.75
+        assert calls == [(1, 3), (4, 3), (1, 3)]
+        assert obj.meter == 5
+
+    def test_values_come_back_as_python_floats(self):
+        obj = Objective(lambda p: p.sum(axis=1), np.zeros(2), np.ones(2), 5,
+                        vectorized=True)
+        assert type(obj.evaluate([0.25, 0.5])) is float
+        assert all(type(v) is float for v in obj.evaluate_batch(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_wrong_number_of_values_raises_without_metering(self, shift):
+        obj = Objective(self.recording([], shift), np.zeros(3), np.ones(3), 10,
+                        vectorized=True)
+        with pytest.raises(ValueError):
+            obj.evaluate([0.5, 0.5, 0.5])
+        for m in (1, 3):
+            with pytest.raises(ValueError):
+                obj.evaluate_batch(np.full((m, 3), 0.5))
+        with pytest.raises(ValueError):
+            obj.raw([0.5, 0.5, 0.5])
+        assert obj.meter == 0
+
+    def test_column_of_values_is_not_m_values(self):
+        obj = Objective(lambda p: p[:, :1], np.zeros(3), np.ones(3), 10,
+                        vectorized=True)
+        with pytest.raises(ValueError):
+            obj.evaluate_batch(np.full((3, 3), 0.5))
+        assert obj.meter == 0
+
+    def test_raising_block_meters_nothing(self):
+        def fn(points):
+            if len(points) > 1:
+                raise RuntimeError("boom")
+            return points.sum(axis=1)
+
+        obj = Objective(fn, np.zeros(2), np.ones(2), 10, vectorized=True)
+        obj.evaluate([0.5, 0.5])
+        with pytest.raises(RuntimeError):
+            obj.evaluate_batch(np.zeros((3, 2)))
+        assert obj.meter == 1
+
+    def test_checks_run_before_any_call(self):
+        calls = []
+        obj = Objective(self.recording(calls), np.zeros(2), np.ones(2), 2,
+                        vectorized=True)
+        with pytest.raises(ValueError):
+            obj.evaluate_batch(np.zeros((2, 3)))
+        with pytest.raises(OutOfBounds):
+            obj.evaluate_batch([[0.5, 0.5], [0.5, 1.5]])
+        with pytest.raises(BudgetExhausted):
+            obj.evaluate_batch(np.zeros((3, 2)))
+        assert calls == []
+        assert obj.meter == 0
+
+
+# =============================================================================
+# Block forms against the per-point reference
+# =============================================================================
+
+# The eight base functions as they were written per point, before the suite
+# moved to (m, D) blocks.  They are the oracle: every block value must match
+# them bit for bit.  Keep them verbatim.
+
+_ST_ARGMIN = -2.903534027771177
+
+
+def _st_poly(v):
+    return (v ** 4 - 16.0 * v ** 2 + 5.0 * v) / 2.0
+
+
+_ST_PERDIM_MIN = float(_st_poly(_ST_ARGMIN))
+
+
+def _sphere(dim):
+    def g(z):
+        return float(np.dot(z, z))
+
+    return g
+
+
+def _ellipsoid(dim):
+    w = np.arange(1.0, dim + 1.0)
+
+    def g(z):
+        return float(np.dot(w, z * z))
+
+    return g
+
+
+def _rosenbrock(dim):
+    def g(z):
+        w = z + 1.0
+        a = w[1:] - w[:-1] ** 2
+        b = 1.0 - w[:-1]
+        return float((100.0 * a * a + b * b).sum())
+
+    return g
+
+
+def _rastrigin(dim):
+    def g(z):
+        return float(10.0 * dim + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum())
+
+    return g
+
+
+def _ackley(dim):
+    e1 = math.exp(1.0)
+
+    def g(z):
+        rms = math.sqrt(float((z * z).mean()))
+        cos_mean = float(np.cos(2.0 * np.pi * z).mean())
+        return (20.0 - 20.0 * math.exp(-0.2 * rms)) + (e1 - math.exp(cos_mean))
+
+    return g
+
+
+def _griewank(dim):
+    root_index = np.sqrt(np.arange(1.0, dim + 1.0))
+
+    def g(z):
+        return float((z * z).sum() / 4000.0 + 1.0 - np.cos(z / root_index).prod())
+
+    return g
+
+
+def _styblinski_tang(dim):
+    def g(z):
+        v = z + _ST_ARGMIN
+        return float((_st_poly(v) - _ST_PERDIM_MIN).sum())
+
+    return g
+
+
+def _composite3(dim):
+    parts = (_sphere(dim), _rastrigin(dim), _ackley(dim))
+
+    def g(z):
+        return parts[0](z) + parts[1](z) + parts[2](z)
+
+    return g
+
+
+REFERENCE = {
+    "sphere": _sphere,
+    "ellipsoid": _ellipsoid,
+    "rosenbrock": _rosenbrock,
+    "rastrigin": _rastrigin,
+    "ackley": _ackley,
+    "griewank": _griewank,
+    "styblinski_tang": _styblinski_tang,
+    "composite3": _composite3,
+}
+
+# math.exp of a suite value overflows above ~709; 2^-20 scales exactly
+TRANSFORMS = {
+    "affine": lambda v: 2.0 * v + 7.0,
+    "exp": lambda v: math.exp(v * 2.0**-20),
+}
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+ORACLE_DIMS = [1, 2, 3, 5, 10, 30]
+ORACLE_ROWS = [1, 2, 3, 7, 8, 9, 1024, 1025]
+
+
+def suite_block(name, dim, m, shift_seed, seed):
+    """(objective, block, per-point reference values) for one suite function.
+
+    Rows are uniform in the box, the optimum, a face (one coordinate at
+    +/-5) or a corner (every coordinate at +/-5); row 0 is the optimum.
+    """
+    rng = np.random.default_rng(seed)
+    obj = make_objective(name, dim, budget=2 * m, shift_seed=shift_seed)
+    block = rng.uniform(-5.0, 5.0, size=(m, dim))
+    kind = rng.integers(0, 4, size=m)
+    kind[0] = 1
+    block[kind == 1] = obj.optimum_point
+    faces = np.flatnonzero(kind == 2)
+    face_dims = rng.integers(0, dim, size=faces.size)
+    block[faces, face_dims] = rng.choice([-5.0, 5.0], size=faces.size)
+    corners = kind == 3
+    block[corners] = rng.choice([-5.0, 5.0], size=(np.count_nonzero(corners), dim))
+    g = REFERENCE[name](dim)
+    expected = [obj.bias + g(x - obj.shift) for x in block]
+    return obj, block, expected
+
+
+def oracle_dims(name):
+    return [d for d in ORACLE_DIMS if not (name == "rosenbrock" and d < 2)]
+
+
+class TestBlockOracle:
+    """Every entry point matches the per-point reference bit for bit."""
+
+    def check(self, obj, block, expected):
+        assert bits(obj.evaluate_batch(block)) == bits(expected)
+        assert bits([obj.evaluate(x) for x in block]) == bits(expected)
+        assert bits([obj.raw(x) for x in block]) == bits(expected)
+        for label, g in TRANSFORMS.items():
+            warped = transformed(obj, g, label)
+            mapped = [float(g(v)) for v in expected]
+            assert bits(warped.evaluate_batch(block)) == bits(mapped)
+            assert bits([warped.evaluate(x) for x in block[:9]]) == bits(mapped[:9])
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_blocks(self, name, data):
+        dim = data.draw(st.sampled_from(oracle_dims(name)), label="dim")
+        m = data.draw(st.sampled_from(ORACLE_ROWS), label="m")
+        shift_seed = data.draw(st.integers(0, 2**32 - 1), label="shift_seed")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        self.check(*suite_block(name, dim, m, shift_seed, seed))
+
+    @pytest.mark.parametrize(
+        "name,dim", [(n, d) for n in SUITE_NAMES for d in oracle_dims(n)]
+    )
+    def test_largest_blocks(self, name, dim):
+        # every dimension at the largest block size, which the random
+        # draws above may not reach for each one
+        self.check(*suite_block(name, dim, ORACLE_ROWS[-1], shift_seed=dim, seed=dim))
 
 
 # =============================================================================
