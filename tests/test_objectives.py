@@ -243,14 +243,15 @@ class TestEvaluateBatch:
             obj.evaluate_batch(np.zeros((m, 10)))
         assert len(obj._tiled) <= 2
         meter = obj.meter
-        for bad in (5.1, -5.0000001, math.nan):
+        for rows, bad in enumerate((5.1, -5.0000001, math.nan), start=2):
             x = np.zeros(10)
             x[3] = bad
             with pytest.raises(OutOfBounds):
                 obj.evaluate(x)
-            for rows in (1, 399):  # a new block size, then the cached one
+            block = np.vstack([np.zeros((rows - 1, 10)), x])
+            for _ in range(2):  # a block size not cached, then cached
                 with pytest.raises(OutOfBounds):
-                    obj.evaluate_batch(np.vstack([np.zeros((rows, 10)), x]))
+                    obj.evaluate_batch(block)
         assert obj.meter == meter
         assert len(obj._tiled) <= 2
 
