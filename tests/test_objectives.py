@@ -1,5 +1,6 @@
 """Tests for the benchmark suite and the metered objective wrapper."""
 
+import hashlib
 import json
 import math
 
@@ -606,3 +607,15 @@ class TestManifest:
         names = [entry["name"] for entry in suite_manifest(dim=1)]
         assert "rosenbrock" not in names
         assert len(names) == 7
+
+    @pytest.mark.parametrize(
+        "dim,digest",
+        [
+            (1, "aa6f0eee1e03ccf025915940bccc34ad48136ec290f4f2b4cceb496749f3137c"),
+            (2, "49cc1a696522ac08902196cd3bc40685b8d82b5e35f23534b817e849f512824a"),
+            (10, "168d8150f570685d391e4b027d9cfbff6445fe8fb032b8db749d03fa3706a3d9"),
+        ],
+    )
+    def test_manifest_bytes_are_pinned(self, dim, digest):
+        text = json.dumps(suite_manifest(dim), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
