@@ -45,7 +45,7 @@ from .objectives import (
     suite_manifest,
     transformed,
 )
-from .refine import NmParams, NmResult, nelder_mead, refine_budget_split, refine_run
+from .refine import NmResult, nelder_mead, refine_budget_split, refine_run
 from .result import RunResult, TraceRecorder
 from .tree import (
     Cell,
@@ -71,7 +71,6 @@ __all__ = [
     "DepthSchedule",
     "GridSummary",
     "InvalidBounds",
-    "NmParams",
     "NmResult",
     "NotALeaf",
     "Objective",

@@ -199,11 +199,9 @@ def read_trace_csv(path: Path) -> list[float]:
 
 def _config_echo(config: RunConfig) -> dict:
     echo = dataclasses.asdict(config)
-    echo["depth_schedule"] = dataclasses.asdict(config.depth_schedule)
     echo["output_dir"] = (
         None if config.output_dir is None else str(config.output_dir)
     )
-    echo["formats"] = list(config.formats)
     return echo
 
 

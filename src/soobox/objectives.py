@@ -264,6 +264,9 @@ class Objective:
     returned values only: a call that raises, or a block function that
     returns other than m values (ValueError), meters nothing of its block.
     Values come back verbatim as Python floats, including non-finite ones.
+
+    Its metadata is name, optimum_point and optimum_value; the last two
+    are None unless the instance knows its optimum, as suite objectives do.
     """
 
     def __init__(
@@ -275,9 +278,6 @@ class Objective:
         *,
         vectorized: bool = False,
         name: str = "custom",
-        index: int | None = None,
-        bias: float = 0.0,
-        shift: Array | None = None,
         optimum_point: Array | None = None,
         optimum_value: float | None = None,
     ):
@@ -294,9 +294,6 @@ class Objective:
         # recent block; the box is fixed at construction
         self._tiled = {lower.size: (lower, upper)}
         self.name = name
-        self.index = index
-        self.bias = bias
-        self.shift = None if shift is None else np.asarray(shift, dtype=float)
         self.optimum_point = (
             None if optimum_point is None else np.asarray(optimum_point, dtype=float)
         )
@@ -373,12 +370,6 @@ class Objective:
         """Evaluate one point without metering or bounds checks (testing oracle)."""
         return _block_values(self._fn, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    def known_optimum(self) -> tuple[Array, float] | None:
-        """(argmin, min value) when the instance was built with one."""
-        if self.optimum_point is None or self.optimum_value is None:
-            return None
-        return self.optimum_point.copy(), self.optimum_value
-
 
 def suite_f_star(name: str) -> float:
     """The known minimum of a suite function: BIAS_STEP x its 1-based index."""
@@ -400,8 +391,9 @@ def make_objective(
     """Build a suite instance on [-5, 5]^dim with the given budget.
 
     shift may be a vector, a scalar (broadcast to every coordinate), or
-    None to derive it from shift_seed.  The shift must land strictly inside
-    the box, which the seeded range [-2, 2) guarantees by construction.
+    None to derive it from shift_seed.  The shift is copied, and every
+    coordinate must lie strictly inside the box (NaN does not), which the
+    seeded range [-2, 2) guarantees by construction.
     """
     bias = suite_f_star(name)
     builder, min_dim = _BUILDERS[name]
@@ -410,14 +402,14 @@ def make_objective(
     if shift is None:
         shift_vec = shift_from_seed(shift_seed, dim)
     else:
-        shift_vec = np.asarray(shift, dtype=float)
+        shift_vec = np.array(shift, dtype=float)
         if shift_vec.ndim == 0:
             shift_vec = np.full(dim, float(shift_vec))
         elif shift_vec.shape != (dim,):
             raise ValueError(f"shift must be scalar or length {dim}")
     lower = np.full(dim, -BOX_HALF_WIDTH)
     upper = np.full(dim, BOX_HALF_WIDTH)
-    if np.any(shift_vec <= lower) or np.any(shift_vec >= upper):
+    if not (np.all(lower < shift_vec) and np.all(shift_vec < upper)):
         raise ValueError("shift must lie strictly inside the box")
     g = builder(dim)
 
@@ -431,9 +423,6 @@ def make_objective(
         budget,
         vectorized=True,
         name=name,
-        index=SUITE_NAMES.index(name) + 1,
-        bias=bias,
-        shift=shift_vec,
         optimum_point=shift_vec.copy(),
         optimum_value=bias,
     )
@@ -461,9 +450,6 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
         objective.budget,
         vectorized=True,
         name=f"{label}({objective.name})",
-        index=objective.index,
-        bias=0.0,
-        shift=None if objective.shift is None else objective.shift.copy(),
         optimum_point=(
             None if objective.optimum_point is None else objective.optimum_point.copy()
         ),
@@ -486,12 +472,12 @@ def suite_manifest(dim: int = 2, shift_seed: int = 0) -> list[dict]:
         entries.append(
             {
                 "name": name,
-                "index": obj.index,
+                "index": SUITE_NAMES.index(name) + 1,
                 "dim": dim,
-                "bias": obj.bias,
+                "bias": obj.optimum_value,
                 "lower": obj.lower.tolist(),
                 "upper": obj.upper.tolist(),
-                "shift": obj.shift.tolist(),
+                "shift": obj.optimum_point.tolist(),
                 "f_star": obj.optimum_value,
             }
         )

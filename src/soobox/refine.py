@@ -4,7 +4,10 @@ A classic reflect/expand/contract/shrink simplex search, hardened for box
 constraints: every candidate is clamped to the box before evaluation, and
 a simplex that collapses (volume below 1e-30 of its initial volume, which
 clamping against a face can cause) is rebuilt once around the best vertex
-at a tenth of the initial scale.
+at a tenth of the initial scale.  The coefficients are fixed at the
+textbook values (reflect 1, expand 2, contract 0.5, shrink 0.5); the
+initial simplex offsets each axis by 5% of the box side, and the search
+stops once the simplex's values span at most 1e-12.
 
 The hybrid entry point reserves a fixed fraction of the total budget up
 front, runs the global stage on the remainder, then spends the reserve
@@ -25,38 +28,17 @@ from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
 
 Array = np.ndarray
 
+# textbook reflection, expansion, contraction and shrink coefficients
+_ALPHA = 1.0
+_GAMMA = 2.0
+_RHO = 0.5
+_SIGMA = 0.5
+# initial vertex offset as a fraction of each box side
+_INIT_SCALE = 0.05
+# stop once the simplex's values span no more than this
+_TOL = 1e-12
 _DEGENERACY_RATIO = 1e-30
 _RESTART_SCALE = 0.1
-
-
-@dataclass(frozen=True)
-class NmParams:
-    """Simplex coefficients and termination knobs.
-
-    Defaults are the textbook coefficients; init_scale is the initial
-    vertex offset as a fraction of each box side.
-    """
-
-    alpha: float = 1.0
-    gamma: float = 2.0
-    rho: float = 0.5
-    sigma: float = 0.5
-    init_scale: float = 0.05
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("reflection coefficient must be positive")
-        if self.gamma <= 1.0:
-            raise ValueError("expansion coefficient must exceed 1")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("contraction coefficient must be in (0, 1)")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("shrink coefficient must be in (0, 1)")
-        if not 0.0 < self.init_scale < 0.5:
-            raise ValueError("init_scale must be in (0, 0.5)")
-        if self.tol < 0.0:
-            raise ValueError("tol must be >= 0")
 
 
 @dataclass
@@ -96,7 +78,6 @@ def nelder_mead(
     objective: Objective,
     x0,
     max_evals: int,
-    params: NmParams | None = None,
     trace: TraceRecorder | None = None,
 ) -> NmResult:
     """Minimize from x0, spending at most max_evals evaluations.
@@ -106,7 +87,6 @@ def nelder_mead(
     f(x0).  If the objective's own budget runs dry first, the search stops
     with budget_exhausted set and the best point so far.
     """
-    params = params or NmParams()
     lower = objective.lower
     upper = objective.upper
     dim = objective.dim
@@ -151,7 +131,7 @@ def nelder_mead(
 
     restarts = 0
     try:
-        verts = _offset_simplex(x0, params.init_scale, lower, upper)
+        verts = _offset_simplex(x0, _INIT_SCALE, lower, upper)
         fvals = np.empty(dim + 1)
         for i in range(dim + 1):
             fvals[i] = evaluate(verts[i])
@@ -164,7 +144,7 @@ def nelder_mead(
             order = np.argsort(fvals, kind="stable")
             verts = verts[order]
             fvals = fvals[order]
-            if fvals[-1] - fvals[0] <= params.tol:
+            if fvals[-1] - fvals[0] <= _TOL:
                 break
 
             iteration += 1
@@ -174,17 +154,17 @@ def nelder_mead(
                     # rebuild once around the best vertex, smaller scale.
                     restarts = 1
                     verts = _offset_simplex(
-                        verts[0], params.init_scale * _RESTART_SCALE, lower, upper
+                        verts[0], _INIT_SCALE * _RESTART_SCALE, lower, upper
                     )
                     for i in range(1, dim + 1):
                         fvals[i] = evaluate(verts[i])
                     continue
 
             centroid = verts[:-1].mean(axis=0)
-            xr = clip(centroid + params.alpha * (centroid - verts[-1]))
+            xr = clip(centroid + _ALPHA * (centroid - verts[-1]))
             fr = evaluate(xr)
             if fr < fvals[0]:
-                xe = clip(centroid + params.gamma * (xr - centroid))
+                xe = clip(centroid + _GAMMA * (xr - centroid))
                 fe = evaluate(xe)
                 if fe < fr:
                     verts[-1] = xe
@@ -196,24 +176,24 @@ def nelder_mead(
                 verts[-1] = xr
                 fvals[-1] = fr
             elif fr < fvals[-1]:
-                xc = clip(centroid + params.rho * (xr - centroid))
+                xc = clip(centroid + _RHO * (xr - centroid))
                 fc = evaluate(xc)
                 if fc <= fr:
                     verts[-1] = xc
                     fvals[-1] = fc
                 else:
                     for i in range(1, dim + 1):
-                        verts[i] = verts[0] + params.sigma * (verts[i] - verts[0])
+                        verts[i] = verts[0] + _SIGMA * (verts[i] - verts[0])
                         fvals[i] = evaluate(verts[i])
             else:
-                xc = clip(centroid - params.rho * (centroid - verts[-1]))
+                xc = clip(centroid - _RHO * (centroid - verts[-1]))
                 fc = evaluate(xc)
                 if fc < fvals[-1]:
                     verts[-1] = xc
                     fvals[-1] = fc
                 else:
                     for i in range(1, dim + 1):
-                        verts[i] = verts[0] + params.sigma * (verts[i] - verts[0])
+                        verts[i] = verts[0] + _SIGMA * (verts[i] - verts[0])
                         fvals[i] = evaluate(verts[i])
     except _Stop:
         pass
@@ -254,7 +234,6 @@ def refine_run(
     result: RunResult,
     objective: Objective,
     fraction: float,
-    params: NmParams | None = None,
 ) -> RunResult:
     """Polish a finished run's incumbent with the reserved budget share.
 
@@ -272,7 +251,7 @@ def refine_run(
     if nm_budget < objective.dim + 1:
         return result
     trace = TraceRecorder(best_value=result.best_value)
-    nm = nelder_mead(objective, result.best_point, nm_budget, params, trace=trace)
+    nm = nelder_mead(objective, result.best_point, nm_budget, trace=trace)
     if value_key(nm.value) < value_key(result.best_value):
         best_point, best_value = nm.point, nm.value
     else:

@@ -175,10 +175,6 @@ class Cell:
         return self._tree._is_leaf[self.id]
 
     @property
-    def value_key(self) -> float:
-        return value_key(self.value)
-
-    @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 

@@ -38,8 +38,8 @@ class TestSuiteStructure:
         for pos, name in enumerate(SUITE_NAMES, start=1):
             dim = 2 if name == "rosenbrock" else 1
             obj = make_objective(name, dim, budget=10)
-            assert obj.bias == 100.0 * pos
             assert obj.optimum_value == 100.0 * pos
+            assert obj.evaluate(obj.optimum_point) == 100.0 * pos
 
     def test_box_is_plus_minus_five(self):
         obj = make_objective("sphere", 3, budget=1)
@@ -48,10 +48,9 @@ class TestSuiteStructure:
 
     def test_ackley_known_optimum_example(self):
         obj = make_objective("ackley", 10, budget=1)
-        point, value = obj.known_optimum()
-        assert value == 500.0
-        assert point.shape == (10,)
-        assert np.array_equal(point, obj.shift)
+        assert obj.optimum_value == 500.0
+        assert obj.optimum_point.shape == (10,)
+        assert np.array_equal(obj.optimum_point, shift_from_seed(0, 10))
 
     def test_composite_bias_is_800(self):
         obj = make_objective("composite3", 2, budget=1)
@@ -102,7 +101,7 @@ class TestOptimumExactness:
 
     def test_scalar_shift_broadcasts(self):
         obj = make_objective("rastrigin", 10, budget=1, shift=0)
-        assert np.array_equal(obj.shift, np.zeros(10))
+        assert np.array_equal(obj.optimum_point, np.zeros(10))
         assert obj.evaluate(np.zeros(10)) == 400.0
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -464,7 +463,7 @@ def suite_block(name, dim, m, shift_seed, seed):
     corners = kind == 3
     block[corners] = rng.choice([-5.0, 5.0], size=(np.count_nonzero(corners), dim))
     g = REFERENCE[name](dim)
-    expected = [obj.bias + g(x - obj.shift) for x in block]
+    expected = [obj.optimum_value + g(x - obj.optimum_point) for x in block]
     return obj, block, expected
 
 
@@ -527,8 +526,17 @@ class TestObjectiveValidation:
             Objective(lambda x: 0.0, [0.0, 0.0], [1.0], budget=1)
 
     def test_shift_outside_box_rejected(self):
-        with pytest.raises(ValueError):
-            make_objective("sphere", 2, budget=1, shift=[6.0, 0.0])
+        # NaN fails both comparisons with the box, so it must not pass as inside
+        for shift in ([6.0, 0.0], math.nan, [0.0, math.nan], [0.0, math.inf]):
+            with pytest.raises(ValueError):
+                make_objective("sphere", 2, budget=1, shift=shift)
+
+    def test_shift_is_copied(self):
+        shift = np.array([0.2, 0.2])
+        obj = make_objective("sphere", 2, budget=1, shift=shift)
+        shift[0] = 1.0
+        obj.optimum_point[0] = 1.0
+        assert obj.evaluate([0.2, 0.2]) == obj.optimum_value
 
 
 # =============================================================================

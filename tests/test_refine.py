@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from soobox import (
     BudgetExhausted,
-    NmParams,
     Objective,
     OutOfBounds,
     make_objective,
@@ -18,38 +17,22 @@ from soobox import (
     refine_run,
     run_soo,
 )
+from soobox import refine
 
 # =============================================================================
-# Parameter validation
+# Fixed coefficients
 # =============================================================================
 
 
 class TestNmParams:
     def test_defaults_are_valid(self):
-        params = NmParams()
-        assert params.alpha == 1.0
-        assert params.gamma == 2.0
-        assert params.rho == 0.5
-        assert params.sigma == 0.5
-        assert params.init_scale == 0.05
-        assert params.tol == 1e-12
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"alpha": 0.0},
-            {"gamma": 1.0},
-            {"rho": 0.0},
-            {"rho": 1.0},
-            {"sigma": 1.5},
-            {"init_scale": 0.5},
-            {"init_scale": 0.0},
-            {"tol": -1.0},
-        ],
-    )
-    def test_bad_coefficients_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            NmParams(**kwargs)
+        # the fixed textbook coefficients and termination knobs
+        assert refine._ALPHA == 1.0
+        assert refine._GAMMA == 2.0
+        assert refine._RHO == 0.5
+        assert refine._SIGMA == 0.5
+        assert refine._INIT_SCALE == 0.05
+        assert refine._TOL == 1e-12
 
 
 # =============================================================================
@@ -67,7 +50,7 @@ class TestNelderMead:
 
     def test_starting_at_optimum_cannot_get_worse(self):
         obj = make_objective("rastrigin", 2, budget=300)
-        x_star, f_star = obj.known_optimum()
+        x_star, f_star = obj.optimum_point, obj.optimum_value
         result = nelder_mead(obj, x_star, max_evals=100)
         assert result.value == f_star
 
