@@ -227,19 +227,19 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     return _finish_run(objective, best_point.copy(), trace)
 
 
-def grid_divisions(dim: int, resolution: int, cap: int = GRID_ARM_CAP) -> list[int]:
+def grid_divisions(dim: int, resolution: int) -> list[int]:
     """Per-dimension division counts for the lattice of arm centers.
 
     The first dimensions get `resolution` divisions each until adding
-    another would push the lattice size past `cap`; the rest stay at one
-    division, so the arm count never exceeds the cap.
+    another would push the lattice size past GRID_ARM_CAP; the rest stay
+    at one division, so the arm count never exceeds the cap.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     divisions = [1] * dim
     total = 1
     for j in range(dim):
-        if total * resolution > cap:
+        if total * resolution > GRID_ARM_CAP:
             break
         divisions[j] = resolution
         total *= resolution
@@ -272,19 +272,13 @@ def run_ucb_grid(
     stats = ArmStats(len(centers))
     trace = TraceRecorder()
     best_point: Array | None = None
-
-    def pull(arm: int) -> None:
-        nonlocal best_point
+    while stats.t < budget and objective.remaining >= 1:
+        # one pull per arm in index order, then the UCB rule
+        arm = stats.t if stats.t < stats.n_arms else ucb_select(stats, c)
         value = objective.evaluate(centers[arm])
         stats.update(arm, -value)
         if trace.record(value):
             best_point = centers[arm]
-    for arm in range(len(centers)):
-        if stats.t >= budget or objective.remaining < 1:
-            break
-        pull(arm)
-    while stats.t < budget and objective.remaining >= 1:
-        pull(ucb_select(stats, c))
     if best_point is None:
         raise BudgetExhausted("objective had no evaluations remaining")
     return _finish_run(objective, best_point.copy(), trace)

@@ -20,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -74,6 +75,10 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
+        for name in ("dim", "budget", "s_children", "grid_resolution", "seed", "shift_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) and (name, value) != ("budget", None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
@@ -335,7 +340,8 @@ def run_grid(
     """
     configs = grid_configs(functions, dims, algorithms, **fields)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers up front, so never more than cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             outcomes = list(pool.map(_grid_cell, configs))
     else:
         outcomes = [_grid_cell(config) for config in configs]

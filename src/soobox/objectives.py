@@ -42,17 +42,6 @@ Array = np.ndarray
 # suite constants
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES: tuple[str, ...] = (
-    "sphere",
-    "ellipsoid",
-    "rosenbrock",
-    "rastrigin",
-    "ackley",
-    "griewank",
-    "styblinski_tang",
-    "composite3",
-)
-
 BIAS_STEP = 100.0
 BOX_HALF_WIDTH = 5.0
 SHIFT_HALF_WIDTH = 2.0
@@ -102,102 +91,75 @@ def shift_from_seed(seed: int, dim: int) -> Array:
 # base functions, g(0) = 0 exactly
 # ---------------------------------------------------------------------------
 
-# Each base function maps an (m, D) block to its m values in one numpy pass,
-# bit-identical to the function on each row alone: element-wise ops do not
-# depend on the block, a reduction along axis 1 runs the same loop per row as
-# over a 1-D point, and np.vecdot runs np.dot's BLAS loop per row.  Do not
-# swap in np.einsum or the matmul operator, which regroup those sums, or
-# np.exp for math.exp, which differ in the last bit on some inputs.
-# Reductions are ndarray methods (z.sum(axis=1), not np.sum(z, axis=1)): the
-# same ufunc reduce, without np.sum's Python-level dispatch.
+# Each base function maps an (m, D) block z to its m values in one numpy
+# pass, reading D from z.shape[1], and is bit-identical to the function on
+# each row alone: element-wise ops do not depend on the block, a reduction
+# along axis 1 runs the same loop per row as over a 1-D point, and
+# np.vecdot runs np.dot's BLAS loop per row.  Do not swap in np.einsum or
+# the matmul operator, which regroup those sums, or np.exp for math.exp,
+# which differ in the last bit on some inputs.  Reductions are ndarray
+# methods (z.sum(axis=1), not np.sum(z, axis=1)): the same ufunc reduce,
+# without np.sum's Python-level dispatch.
+
+_E = math.exp(1.0)
 
 
-def _sphere(dim: int) -> Callable[[Array], Array]:
-    def g(z: Array) -> Array:
-        return np.vecdot(z, z)
-
-    return g
+def _sphere(z: Array) -> Array:
+    return np.vecdot(z, z)
 
 
-def _ellipsoid(dim: int) -> Callable[[Array], Array]:
+def _ellipsoid(z: Array) -> Array:
     # Axis weights 1..D: mildly ill-conditioned, enough to separate the
     # axes without making the basin numerically hostile to refinement.
-    w = np.arange(1.0, dim + 1.0)
-
-    def g(z: Array) -> Array:
-        return np.vecdot(z * z, w)
-
-    return g
+    return np.vecdot(z * z, np.arange(1.0, z.shape[1] + 1.0))
 
 
-def _rosenbrock(dim: int) -> Callable[[Array], Array]:
+def _rosenbrock(z: Array) -> Array:
     # Classic banana valley expressed around its own optimum: substituting
     # w = z + 1 puts the minimizer at z = 0 with value 0 exactly.
-    def g(z: Array) -> Array:
-        w = z + 1.0
-        a = w[:, 1:] - w[:, :-1] ** 2
-        b = 1.0 - w[:, :-1]
-        return (100.0 * a * a + b * b).sum(axis=1)
-
-    return g
+    w = z + 1.0
+    a = w[:, 1:] - w[:, :-1] ** 2
+    b = 1.0 - w[:, :-1]
+    return (100.0 * a * a + b * b).sum(axis=1)
 
 
-def _rastrigin(dim: int) -> Callable[[Array], Array]:
-    def g(z: Array) -> Array:
-        return 10.0 * dim + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum(axis=1)
-
-    return g
+def _rastrigin(z: Array) -> Array:
+    return 10.0 * z.shape[1] + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum(axis=1)
 
 
-def _ackley(dim: int) -> Callable[[Array], Array]:
+def _ackley(z: Array) -> Array:
     # Grouped so both exponential terms cancel exactly at z = 0:
     # 20 - 20*exp(0) == 0 and e - exp(cos-mean of 1) == 0 in doubles.
-    # A mean is spelled sum / dim, which is what ndarray.mean computes.
-    e1 = math.exp(1.0)
-
-    def g(z: Array) -> Array:
-        rms = np.sqrt((z * z).sum(axis=1) / dim)
-        cos_mean = np.cos(2.0 * np.pi * z).sum(axis=1) / dim
-        return np.array(
-            [
-                (20.0 - 20.0 * math.exp(-0.2 * r)) + (e1 - math.exp(c))
-                for r, c in zip(rms.tolist(), cos_mean.tolist())
-            ]
-        )
-
-    return g
+    # A mean is spelled sum / D, which is what ndarray.mean computes.
+    dim = z.shape[1]
+    rms = np.sqrt((z * z).sum(axis=1) / dim)
+    cos_mean = np.cos(2.0 * np.pi * z).sum(axis=1) / dim
+    return np.array(
+        [
+            (20.0 - 20.0 * math.exp(-0.2 * r)) + (_E - math.exp(c))
+            for r, c in zip(rms.tolist(), cos_mean.tolist())
+        ]
+    )
 
 
-def _griewank(dim: int) -> Callable[[Array], Array]:
-    root_index = np.sqrt(np.arange(1.0, dim + 1.0))
-
-    def g(z: Array) -> Array:
-        return (z * z).sum(axis=1) / 4000.0 + 1.0 - np.cos(z / root_index).prod(axis=1)
-
-    return g
+def _griewank(z: Array) -> Array:
+    root_index = np.sqrt(np.arange(1.0, z.shape[1] + 1.0))
+    return (z * z).sum(axis=1) / 4000.0 + 1.0 - np.cos(z / root_index).prod(axis=1)
 
 
-def _styblinski_tang(dim: int) -> Callable[[Array], Array]:
+def _styblinski_tang(z: Array) -> Array:
     # Each coordinate contributes its quartic minus the quartic's minimum,
     # evaluated at the frozen argmin so the optimum lands on 0.0 exactly.
-    def g(z: Array) -> Array:
-        v = z + _ST_ARGMIN
-        return (_st_poly(v) - _ST_PERDIM_MIN).sum(axis=1)
-
-    return g
+    return (_st_poly(z + _ST_ARGMIN) - _ST_PERDIM_MIN).sum(axis=1)
 
 
-def _composite3(dim: int) -> Callable[[Array], Array]:
-    parts = (_sphere(dim), _rastrigin(dim), _ackley(dim))
-
-    def g(z: Array) -> Array:
-        return parts[0](z) + parts[1](z) + parts[2](z)
-
-    return g
+def _composite3(z: Array) -> Array:
+    return _sphere(z) + _rastrigin(z) + _ackley(z)
 
 
-# name -> (builder, minimum supported dimension)
-_BUILDERS: dict[str, tuple[Callable[[int], Callable[[Array], Array]], int]] = {
+# name -> (base function, minimum supported dimension), in suite order:
+# a function's 1-based position here sets its bias
+_BASE: dict[str, tuple[Callable[[Array], Array], int]] = {
     "sphere": (_sphere, 1),
     "ellipsoid": (_ellipsoid, 1),
     "rosenbrock": (_rosenbrock, 2),
@@ -207,6 +169,8 @@ _BUILDERS: dict[str, tuple[Callable[[int], Callable[[Array], Array]], int]] = {
     "styblinski_tang": (_styblinski_tang, 1),
     "composite3": (_composite3, 1),
 }
+
+SUITE_NAMES: tuple[str, ...] = tuple(_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +289,19 @@ class Objective:
         if inside != 2 * flat.size:
             raise OutOfBounds("point lies outside the objective's box")
 
+    def _metered(self, block: Array) -> list[float]:
+        # The budget, then the bounds, then one call on the block; the
+        # meter advances by its m rows only once the call returned m values.
+        m = len(block)
+        if self.meter + m > self.budget:
+            raise BudgetExhausted(
+                f"{m} evaluations asked for, {self.remaining} of {self.budget} left"
+            )
+        self._require_inside(block)
+        values = _block_values(self._fn, block)
+        self.meter += m
+        return values
+
     def evaluate(self, x) -> float:
         """f(x) for one point, computed as the (1, D) block holding x.
 
@@ -334,14 +311,7 @@ class Objective:
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:
             raise ValueError(f"expected a point of dimension {self.dim}")
-        if self.meter >= self.budget:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations already consumed"
-            )
-        self._require_inside(x)
-        value = _block_values(self._fn, x[np.newaxis])[0]
-        self.meter += 1
-        return value
+        return self._metered(x[np.newaxis])[0]
 
     def evaluate_batch(self, points) -> list[float]:
         """f at each row of an (m, dim) block, metered as one step.
@@ -356,15 +326,7 @@ class Objective:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.lower.size:
             raise ValueError(f"expected an (m, {self.dim}) block of points")
-        m = len(points)
-        if self.meter + m > self.budget:
-            raise BudgetExhausted(
-                f"batch of {m} evaluations exceeds the {self.remaining} left"
-            )
-        self._require_inside(points)
-        values = _block_values(self._fn, points)
-        self.meter += m
-        return values
+        return self._metered(points)
 
     def raw(self, x) -> float:
         """Evaluate one point without metering or bounds checks (testing oracle)."""
@@ -396,7 +358,7 @@ def make_objective(
     seeded range [-2, 2) guarantees by construction.
     """
     bias = suite_f_star(name)
-    builder, min_dim = _BUILDERS[name]
+    g, min_dim = _BASE[name]
     if dim < min_dim:
         raise BadDimension(f"{name} requires dim >= {min_dim}, got {dim}")
     if shift is None:
@@ -411,7 +373,6 @@ def make_objective(
     upper = np.full(dim, BOX_HALF_WIDTH)
     if not (np.all(lower < shift_vec) and np.all(shift_vec < upper)):
         raise ValueError("shift must lie strictly inside the box")
-    g = builder(dim)
 
     def fn(points: Array) -> Array:
         return bias + g(points - shift_vec)
@@ -465,8 +426,7 @@ def suite_manifest(dim: int = 2, shift_seed: int = 0) -> list[dict]:
     """
     entries = []
     for name in SUITE_NAMES:
-        _, min_dim = _BUILDERS[name]
-        if dim < min_dim:
+        if dim < _BASE[name][1]:
             continue
         obj = make_objective(name, dim, budget=0, shift_seed=shift_seed)
         entries.append(

@@ -7,7 +7,9 @@ clamping against a face can cause) is rebuilt once around the best vertex
 at a tenth of the initial scale.  The coefficients are fixed at the
 textbook values (reflect 1, expand 2, contract 0.5, shrink 0.5); the
 initial simplex offsets each axis by 5% of the box side, and the search
-stops once the simplex's values span at most 1e-12.
+stops once the simplex's values span at most 1e-12.  The search keeps its
+incumbent in its own TraceRecorder, the same best-so-far rule as every
+run's trace: the earliest of the smallest values, non-finite sorting last.
 
 The hybrid entry point reserves a fixed fraction of the total budget up
 front, runs the global stage on the remainder, then spends the reserve
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted, OutOfBounds
+from .errors import BudgetExhausted
 from .objectives import Objective
 from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
 
@@ -85,7 +87,9 @@ def nelder_mead(
     max_evals must cover the initial simplex (dim + 1 points).  The best
     point ever evaluated is returned, so the result value never exceeds
     f(x0).  If the objective's own budget runs dry first, the search stops
-    with budget_exhausted set and the best point so far.
+    with budget_exhausted set and the best point so far.  x0 is the first
+    point evaluated, so a start outside the box raises OutOfBounds from
+    the objective's own bounds check, with nothing metered.
     """
     lower = objective.lower
     upper = objective.upper
@@ -93,37 +97,29 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != lower.shape:
         raise ValueError(f"expected a start point of dimension {dim}")
-    if np.any(x0 < lower) or np.any(x0 > upper):
-        raise OutOfBounds("start point lies outside the objective's box")
     if max_evals < dim + 1:
         raise ValueError(
             f"max_evals must cover the initial simplex ({dim + 1}), got {max_evals}"
         )
 
-    evals = 0
+    # this search's own best-so-far: one entry per evaluation it made
+    own = TraceRecorder()
     exhausted = False
     best_point: Array | None = None
-    best_key = math.inf
-    best_raw = math.nan
 
     def evaluate(x: Array) -> float:
-        # x must already be inside the box here
-        nonlocal evals, exhausted, best_point, best_key, best_raw
-        if evals >= max_evals:
+        nonlocal exhausted, best_point
+        if len(own.entries) >= max_evals:
             raise _Stop
         try:
             v = objective.evaluate(x)
         except BudgetExhausted:
             exhausted = True
             raise _Stop from None
-        evals += 1
         if trace is not None:
             trace.record(v)
-        key = value_key(v)
-        if best_point is None or key < best_key:
+        if own.record(v):
             best_point = x.copy()
-            best_key = key
-            best_raw = v
         return v
 
     def clip(x: Array) -> Array:
@@ -202,8 +198,8 @@ def nelder_mead(
         raise BudgetExhausted("no evaluations possible before the budget ran out")
     return NmResult(
         point=best_point.copy(),
-        value=best_raw,
-        evals_used=evals,
+        value=own.best_value,
+        evals_used=len(own.entries),
         budget_exhausted=exhausted,
         restarts=restarts,
     )

@@ -39,27 +39,22 @@ class TraceRecorder:
     The recorder can be primed with an incumbent value so a second
     optimization stage appends to the trace of a first stage without
     breaking monotonicity.  ``record`` returns True when the new value
-    strictly improves the incumbent (ties keep the earlier value).
+    strictly improves the incumbent (ties keep the earlier value); on an
+    unprimed recorder the first value always counts, even a NaN.
     """
 
-    __slots__ = ("entries", "_best_key", "_best_raw", "_primed")
+    __slots__ = ("entries", "_best_key", "_best_raw")
 
     def __init__(self, best_value: float | None = None):
         self.entries: list[float] = []
-        if best_value is None:
-            self._primed = False
-            self._best_key = math.inf
-            self._best_raw = math.nan
-        else:
-            self._primed = True
-            self._best_key = value_key(best_value)
-            self._best_raw = float(best_value)
+        # _best_key None: nothing recorded or primed yet
+        self._best_key = None if best_value is None else value_key(best_value)
+        self._best_raw = math.nan if best_value is None else float(best_value)
 
     def record(self, value: float) -> bool:
         key = value_key(value)
-        improved = (not self._primed) or key < self._best_key
+        improved = self._best_key is None or key < self._best_key
         if improved:
-            self._primed = True
             self._best_key = key
             self._best_raw = float(value)
         self.entries.append(self._best_raw)

@@ -37,7 +37,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from math import isfinite
 
 import numpy as np
 
@@ -352,7 +351,7 @@ class PartitionTree:
         child_depth = self._depth[leaf_id] + 1
         heap = self._heaps.setdefault(child_depth, [])
         for cid, value in enumerate(values, start=n):
-            heappush(heap, (value if isfinite(value) else math.inf, cid))
+            heappush(heap, (value_key(value), cid))
         record = self.trace.record
         for value in fresh:
             record(value)
@@ -438,14 +437,11 @@ class PartitionTree:
 
 
 def new_tree(
-    space: tuple,
-    objective: Objective,
-    params: SooParams | None = None,
-    eval_budget: int | None = None,
+    space: tuple, objective: Objective, params: SooParams | None = None
 ) -> PartitionTree:
     """Root a tree on the box `space` = (lower, upper), paying one evaluation."""
     lower, upper = space
-    return PartitionTree(lower, upper, objective, params, eval_budget)
+    return PartitionTree(lower, upper, objective, params)
 
 
 def split_leaf(tree: PartitionTree, leaf_id: int) -> list[int]:

@@ -182,11 +182,19 @@ class TestRunConfig:
             ("exploration", -1.0),
             ("exploration", math.nan),
             ("exploration", math.inf),
+            # counts that are not integers
+            ("dim", 2.5),
+            ("budget", 10.5),
+            ("s_children", 3.0),
+            ("grid_resolution", 2.0),
+            ("seed", 1.5),
+            ("shift_seed", 0.5),
         ],
     )
     def test_invalid_field_raises_at_construction(self, name, value):
-        with pytest.raises(ValueError):
-            RunConfig(function="sphere", dim=2, budget=10, **{name: value})
+        kwargs = {"function": "sphere", "dim": 2, "budget": 10, name: value}
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**kwargs)
 
     def test_stem_reflects_resolved_budget(self):
         config = RunConfig(
@@ -412,6 +420,33 @@ class TestRunGrid:
         assert (tmp_path / "s" / "summary.csv").read_bytes() == (
             tmp_path / "p" / "summary.csv"
         ).read_bytes()
+
+    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # A fork pool starts all max_workers at its first submit, so a
+        # 2-cell grid must ask for 2 whatever jobs says.  The fake pool
+        # records the request and maps in this process.
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        summary = run_grid(
+            ["sphere", "ackley"], [2], ["soo"], budget=50, output_dir=tmp_path,
+            jobs=8,
+        )
+        assert requested == [2]
+        assert len(summary.cells) == 2
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):

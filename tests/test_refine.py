@@ -18,6 +18,7 @@ from soobox import (
     run_soo,
 )
 from soobox import refine
+from soobox.result import TraceRecorder
 
 # =============================================================================
 # Fixed coefficients
@@ -33,6 +34,44 @@ class TestNmParams:
         assert refine._SIGMA == 0.5
         assert refine._INIT_SCALE == 0.05
         assert refine._TOL == 1e-12
+
+
+# =============================================================================
+# The best-so-far rule Nelder-Mead keeps its incumbent by
+# =============================================================================
+
+
+class TestTraceRecorder:
+    @pytest.mark.parametrize(
+        "primed, values, improved, entries",
+        [
+            # the first value counts on an unprimed recorder, even NaN
+            (None, [math.nan], [True], [math.nan]),
+            (None, [math.nan, 5.0], [True, True], [math.nan, 5.0]),
+            (None, [-math.inf, 7.0], [True, True], [-math.inf, 7.0]),
+            # NaN and +/-inf never beat a finite value
+            (
+                None,
+                [3.0, math.nan, math.inf, -math.inf],
+                [True, False, False, False],
+                [3.0, 3.0, 3.0, 3.0],
+            ),
+            # a tie keeps the earlier value: 0.0 and -0.0 compare equal
+            (None, [0.0, -0.0, 0.0], [True, False, False], [0.0, 0.0, 0.0]),
+            (None, [-0.0, 0.0], [True, False], [-0.0, -0.0]),
+            # a primed recorder counts only a strictly smaller key
+            (1.0, [1.0, 2.0, 0.5], [False, False, True], [1.0, 1.0, 0.5]),
+            (0.0, [-0.0], [False], [0.0]),
+            (math.nan, [math.inf, math.nan, 4.0], [False, False, True],
+             [math.nan, math.nan, 4.0]),
+        ],
+    )
+    def test_record(self, primed, values, improved, entries):
+        rec = TraceRecorder(best_value=primed)
+        assert [rec.record(v) for v in values] == improved
+        # repr tells NaN, inf and the sign of zero apart exactly
+        assert [repr(v) for v in rec.entries] == [repr(v) for v in entries]
+        assert repr(rec.best_value) == repr(entries[-1])
 
 
 # =============================================================================
@@ -73,9 +112,15 @@ class TestNelderMead:
             nelder_mead(obj, [0.0, 0.0, 0.0], max_evals=3)
 
     def test_start_outside_box_rejected(self):
-        obj = make_objective("sphere", 2, budget=100)
-        with pytest.raises(OutOfBounds):
-            nelder_mead(obj, [9.0, 0.0], max_evals=50)
+        # x0 is the first point evaluated, so the objective's own bounds
+        # check rejects it before anything is metered or recorded
+        for x0 in ([9.0, 0.0], [math.nan, 0.0], [0.0, -math.inf]):
+            obj = make_objective("sphere", 2, budget=100)
+            trace = TraceRecorder()
+            with pytest.raises(OutOfBounds):
+                nelder_mead(obj, x0, max_evals=50, trace=trace)
+            assert obj.meter == 0
+            assert trace.entries == []
 
     def test_never_leaves_the_box(self):
         # Start hugging a corner: reflections and expansions would exit
