@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExhausted, UnpulledArm
-from .objectives import Objective
+from .objectives import Objective, check_count
 from .result import RunResult, TraceRecorder, ratio_to_optimum
 
 Array = np.ndarray
@@ -43,8 +43,7 @@ class ArmStats:
     """
 
     def __init__(self, n_arms: int):
-        if n_arms < 1:
-            raise ValueError(f"need at least one arm, got {n_arms}")
+        check_count(n_arms, "n_arms", 1)
         self.pulls = np.zeros(n_arms, dtype=np.int64)
         self._sums = np.zeros(n_arms, dtype=np.float64)
         self.t = 0
@@ -104,6 +103,11 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     return int(best)
 
 
+def next_arm(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
+    """The arm to pull next: one pull per arm in index order, then ucb_select."""
+    return stats.t if stats.t < stats.n_arms else ucb_select(stats, c)
+
+
 # ---------------------------------------------------------------------------
 # fixed-horizon bandit runner
 # ---------------------------------------------------------------------------
@@ -135,31 +139,17 @@ def run_ucb(
     horizon must cover the initialization round (one pull per arm).
     """
     k = len(reward_sources)
-    if k < 1:
-        raise ValueError("need at least one reward source")
-    if horizon < k:
-        raise ValueError(f"horizon {horizon} cannot cover {k} arms")
-    check_exploration(c)
     stats = ArmStats(k)
+    check_count(horizon, "horizon", k)
+    check_exploration(c)
     history: list[tuple[int, float]] = []
-
-    def pull(arm: int) -> None:
+    for _ in range(horizon):
+        arm = next_arm(stats, c)
         reward = float(reward_sources[arm]())
         stats.update(arm, reward)
         history.append((arm, reward))
-
-    for arm in range(k):
-        pull(arm)
-    for _ in range(horizon - k):
-        pull(ucb_select(stats, c))
-
-    best_arm = 0
-    best_mean = stats.mean(0)
-    for arm in range(1, k):
-        m = stats.mean(arm)
-        if m > best_mean:
-            best_mean = m
-            best_arm = arm
+    # max keeps the first of equal means, and nothing beats a NaN first mean
+    best_arm = max(range(k), key=stats.means.__getitem__)
     return UcbRun(history=history, recommendation=best_arm, stats=stats)
 
 
@@ -191,8 +181,6 @@ def _finish_run(
 ) -> RunResult:
     return RunResult(
         best_point=best_point,
-        best_value=trace.best_value,
-        evals_used=len(trace.entries),
         trace=trace.entries,
         ratio=ratio_to_optimum(trace.best_value, objective.optimum_value),
     )
@@ -209,8 +197,7 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     value from that block was handed back.  Stops early only if the
     objective's own budget runs dry first.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_count(budget, "budget", 1)
     rng = np.random.default_rng(seed)
     trace = TraceRecorder()
     best_point: Array | None = None
@@ -234,8 +221,7 @@ def grid_divisions(dim: int, resolution: int) -> list[int]:
     another would push the lattice size past GRID_ARM_CAP; the rest stay
     at one division, so the arm count never exceeds the cap.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    check_count(resolution, "resolution", 1)
     divisions = [1] * dim
     total = 1
     for j in range(dim):
@@ -259,8 +245,7 @@ def run_ucb_grid(
     budget, keeping the comparison with the other optimizers honest even
     though the objective is deterministic.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_count(budget, "budget", 1)
     check_exploration(c)
     divisions = grid_divisions(objective.dim, resolution)
     axes = []
@@ -273,8 +258,7 @@ def run_ucb_grid(
     trace = TraceRecorder()
     best_point: Array | None = None
     while stats.t < budget and objective.remaining >= 1:
-        # one pull per arm in index order, then the UCB rule
-        arm = stats.t if stats.t < stats.n_arms else ucb_select(stats, c)
+        arm = next_arm(stats, c)
         value = objective.evaluate(centers[arm])
         stats.update(arm, -value)
         if trace.record(value):

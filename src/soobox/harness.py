@@ -35,7 +35,7 @@ from .baselines import (
     run_random_search,
     run_ucb_grid,
 )
-from .objectives import make_objective, suite_f_star
+from .objectives import check_count, make_objective, suite_f_star
 from .refine import refine_budget_split, refine_run
 from .result import RunResult, ratio_to_optimum
 from .tree import DepthSchedule, SooParams, run_soo
@@ -75,29 +75,25 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        for name in ("dim", "budget", "s_children", "grid_resolution", "seed", "shift_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) and (name, value) != ("budget", None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_count(self.dim, "dim", 1)
+        check_count(self.seed, "seed", 0)
+        # any integer is a valid shift seed: shift_from_seed masks it to 64 bits
+        if not isinstance(self.shift_seed, numbers.Integral):
+            raise ValueError(f"shift_seed must be an integer, got {self.shift_seed!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
         if self.cec_budget == (self.budget is not None):
             raise ValueError("exactly one of budget and cec_budget is required")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.budget is not None:
+            check_count(self.budget, "budget", 1)
         if not 0.0 < self.refine_fraction < 1.0:
             raise ValueError(
                 f"refine_fraction must be in (0, 1), got {self.refine_fraction}"
             )
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
         _soo_params(self)  # checks s_children
-        if self.grid_resolution < 1:
-            raise ValueError(
-                f"grid_resolution must be >= 1, got {self.grid_resolution}"
-            )
+        check_count(self.grid_resolution, "grid_resolution", 1)
         check_exploration(self.exploration, "exploration")
         for fmt in self.formats:
             if fmt not in FORMATS:

@@ -24,6 +24,7 @@ m values, meters nothing of its block.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -178,6 +179,15 @@ SUITE_NAMES: tuple[str, ...] = tuple(_BASE)
 # ---------------------------------------------------------------------------
 
 
+def check_count(value, name: str, least: int) -> None:
+    """Raise ValueError unless value is an integer (numbers.Integral) >= least.
+
+    Every count passed in, such as a budget or a number of arms, goes
+    through this one check, so none is silently truncated or rounded."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def checked_box(lower, upper) -> tuple[Array, Array]:
     """The box's corners as float arrays; raises InvalidBounds unless they
     are matching non-empty 1-D vectors, finite, with lower < upper."""
@@ -246,13 +256,11 @@ class Objective:
         optimum_value: float | None = None,
     ):
         lower, upper = checked_box(lower, upper)
-        budget = int(budget)
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        check_count(budget, "budget", 0)
         self._fn = fn if vectorized else _row_loop(fn)
         self.lower = lower
         self.upper = upper
-        self.budget = budget
+        self.budget = int(budget)
         self.meter = 0
         # bounds tiled to the flattened size of one point and of the most
         # recent block; the box is fixed at construction

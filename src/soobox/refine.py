@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted
-from .objectives import Objective
+from .objectives import Objective, check_count
 from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
 
 Array = np.ndarray
@@ -97,10 +97,7 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != lower.shape:
         raise ValueError(f"expected a start point of dimension {dim}")
-    if max_evals < dim + 1:
-        raise ValueError(
-            f"max_evals must cover the initial simplex ({dim + 1}), got {max_evals}"
-        )
+    check_count(max_evals, "max_evals", dim + 1)
 
     # this search's own best-so-far: one entry per evaluation it made
     own = TraceRecorder()
@@ -171,20 +168,18 @@ def nelder_mead(
             elif fr < fvals[-2]:
                 verts[-1] = xr
                 fvals[-1] = fr
-            elif fr < fvals[-1]:
-                xc = clip(centroid + _RHO * (xr - centroid))
-                fc = evaluate(xc)
-                if fc <= fr:
-                    verts[-1] = xc
-                    fvals[-1] = fc
-                else:
-                    for i in range(1, dim + 1):
-                        verts[i] = verts[0] + _SIGMA * (verts[i] - verts[0])
-                        fvals[i] = evaluate(verts[i])
             else:
-                xc = clip(centroid - _RHO * (centroid - verts[-1]))
-                fc = evaluate(xc)
-                if fc < fvals[-1]:
+                # contract outside (toward xr) or inside (toward the worst
+                # vertex); each has its own accept test, then one shrink
+                if fr < fvals[-1]:
+                    xc = clip(centroid + _RHO * (xr - centroid))
+                    fc = evaluate(xc)
+                    accept = fc <= fr
+                else:
+                    xc = clip(centroid - _RHO * (centroid - verts[-1]))
+                    fc = evaluate(xc)
+                    accept = fc < fvals[-1]
+                if accept:
                     verts[-1] = xc
                     fvals[-1] = fc
                 else:
@@ -216,8 +211,7 @@ def refine_budget_split(total_budget: int, fraction: float) -> tuple[int, int]:
     The reserve is ceil(fraction * total); the global stage keeps the rest
     but never less than one evaluation.
     """
-    if total_budget < 1:
-        raise ValueError(f"budget must be >= 1, got {total_budget}")
+    check_count(total_budget, "budget", 1)
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     reserve = math.ceil(fraction * total_budget)
@@ -249,14 +243,12 @@ def refine_run(
     trace = TraceRecorder(best_value=result.best_value)
     nm = nelder_mead(objective, result.best_point, nm_budget, trace=trace)
     if value_key(nm.value) < value_key(result.best_value):
-        best_point, best_value = nm.point, nm.value
+        best_point = nm.point
     else:
-        best_point, best_value = result.best_point, result.best_value
+        best_point = result.best_point
     return RunResult(
         best_point=best_point,
-        best_value=best_value,
-        evals_used=result.evals_used + nm.evals_used,
         trace=list(result.trace) + trace.entries,
-        ratio=ratio_to_optimum(best_value, objective.optimum_value),
+        ratio=ratio_to_optimum(trace.best_value, objective.optimum_value),
         split_ids=result.split_ids,
     )

@@ -1,12 +1,13 @@
 """Run results and the best-so-far trace.
 
 Every optimizer in this package reports its work the same way: a
-:class:`RunResult` carrying the incumbent point/value, the number of
-objective evaluations consumed, and a trace holding one best-so-far value
-per evaluation, so entry i - 1 is the best value after evaluation i.  The
-trace is the run's evaluation ledger: its length is the evaluation count,
-and the best-so-far sequence is monotone non-increasing under the
-ordering that treats non-finite values as +infinity.
+:class:`RunResult` carrying the incumbent point and a trace holding one
+best-so-far value per evaluation, so entry i - 1 is the best value after
+evaluation i.  The trace is the run's evaluation ledger and the only
+place its counts live: the evaluation count is its length, the best
+value is its last entry, and the best-so-far sequence is monotone
+non-increasing under the ordering that treats non-finite values as
++infinity.
 """
 
 from __future__ import annotations
@@ -75,34 +76,37 @@ class TraceRecorder:
 class RunResult:
     """Outcome of a single optimization run.
 
-    ratio is best_value divided by the known optimum when one is attached to
-    the objective, else None.  split_ids lists the cell ids split by the
-    partition optimizer in order, and stays empty for the baselines.
+    evals_used and best_value are read from the trace: its length and its
+    last entry.  ratio is best_value divided by the known optimum when one
+    is attached to the objective, else None.  split_ids lists the cell ids
+    split by the partition optimizer in order, and stays empty for the
+    baselines.
     """
 
     best_point: np.ndarray
-    best_value: float
-    evals_used: int
     trace: list[float]
     ratio: float | None = None
     split_ids: tuple[int, ...] = field(default_factory=tuple)
 
+    @property
+    def evals_used(self) -> int:
+        """Evaluations consumed: one trace entry per evaluation."""
+        return len(self.trace)
+
+    @property
+    def best_value(self) -> float:
+        """The incumbent value: the last trace entry."""
+        return self.trace[-1]
+
     def check(self) -> None:
         """Validate the trace contract, raising ValueError on a breach.
 
-        One row per evaluation, best-so-far monotone non-increasing
-        (non-finite values sort last), and the last row matching
-        best_value.  Cheap enough to call in tests.
+        The best-so-far must be monotone non-increasing (non-finite values
+        sort last).  Cheap enough to call in tests.
         """
-        if len(self.trace) != self.evals_used:
-            raise ValueError(
-                f"trace has {len(self.trace)} rows for {self.evals_used} evaluations"
-            )
         prev_key = math.inf
         for pos, val in enumerate(self.trace, start=1):
             key = value_key(val)
             if key > prev_key:
                 raise ValueError(f"trace row {pos} rises to {val!r}")
             prev_key = key
-        if self.trace and value_key(self.trace[-1]) != value_key(self.best_value):
-            raise ValueError("last trace row differs from best_value")

@@ -41,7 +41,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .errors import BudgetExhausted, NotALeaf, ObjectiveDegenerate
-from .objectives import Objective, checked_box
+from .objectives import Objective, check_count, checked_box
 from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
 
 Array = np.ndarray
@@ -66,8 +66,7 @@ class DepthSchedule:
         if self.kind not in ("log32", "constant", "unbounded"):
             raise ValueError(f"unknown depth schedule kind {self.kind!r}")
         if self.kind == "constant":
-            if self.value is None or self.value < 0:
-                raise ValueError("constant schedule needs a cap >= 0")
+            check_count(self.value, "constant depth cap", 0)
         elif self.value is not None:
             raise ValueError(f"{self.kind} schedule takes no value")
 
@@ -77,6 +76,9 @@ class DepthSchedule:
 
     @staticmethod
     def constant(depth: int) -> "DepthSchedule":
+        # checked before int() so 2.7 is rejected, not truncated; the int
+        # keeps a numpy integer out of the JSON config echo
+        check_count(depth, "constant depth cap", 0)
         return DepthSchedule("constant", int(depth))
 
     @staticmethod
@@ -116,10 +118,9 @@ class SooParams:
     depth_schedule: DepthSchedule = field(default_factory=DepthSchedule.log32)
 
     def __post_init__(self):
-        if self.s_children < 3 or self.s_children % 2 == 0:
-            raise ValueError(
-                f"s_children must be odd and >= 3, got {self.s_children}"
-            )
+        check_count(self.s_children, "s_children", 3)
+        if self.s_children % 2 == 0:
+            raise ValueError(f"s_children must be odd, got {self.s_children}")
 
 
 class Cell:
@@ -232,7 +233,9 @@ class PartitionTree:
         lower, upper = checked_box(lower, upper)
         self.params = params or SooParams()
         self.objective = objective
-        self.eval_budget = None if eval_budget is None else int(eval_budget)
+        if eval_budget is not None:
+            check_count(eval_budget, "eval_budget", 1)
+        self.eval_budget = eval_budget
         self.dim = lower.size
         self.split_log: list[int] = []
         self.trace = TraceRecorder()
@@ -468,8 +471,7 @@ def run_soo(
     point is final.  Raises ObjectiveDegenerate when every evaluated value
     was non-finite, so callers never receive a NaN incumbent.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_count(budget, "budget", 1)
     tree = PartitionTree(
         objective.lower, objective.upper, objective, params, eval_budget=budget
     )
@@ -487,8 +489,6 @@ def run_soo(
 
     return RunResult(
         best_point=point,
-        best_value=value,
-        evals_used=tree.eval_count,
         trace=tree.trace.entries,
         ratio=ratio_to_optimum(value, objective.optimum_value),
         split_ids=tuple(tree.split_log),

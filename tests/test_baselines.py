@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from soobox import (
     ArmStats,
+    BudgetExhausted,
     Objective,
     UnpulledArm,
     bernoulli_arms,
@@ -268,6 +269,20 @@ class TestRandomSearch:
         obj = make_objective("sphere", 2, budget=10)
         with pytest.raises(ValueError):
             run_random_search(obj, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda obj: run_random_search(obj, 5, seed=0), id="random"),
+            pytest.param(lambda obj: run_ucb_grid(obj, 5), id="ucb-grid"),
+        ],
+    )
+    def test_spent_objective_raises_without_metering(self, run):
+        obj = make_objective("sphere", 2, budget=3)
+        obj.evaluate_batch(np.zeros((3, 2)))
+        with pytest.raises(BudgetExhausted):
+            run(obj)
+        assert obj.meter == 3
 
     @pytest.mark.parametrize(
         "budget, objective_budget",

@@ -30,6 +30,7 @@ from soobox import harness
 from soobox.cli import main
 from soobox.errors import UnknownFunction
 from soobox.harness import read_trace_csv, trace_csv_text
+from soobox.result import value_key
 
 # =============================================================================
 # Trace CSV text and the trace contract
@@ -51,10 +52,7 @@ TRACE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 123.456, -7.0,
 
 
 def _result_with_trace(values):
-    return RunResult(
-        best_point=np.zeros(1), best_value=values[-1] if values else math.nan,
-        evals_used=len(values), trace=list(values),
-    )
+    return RunResult(best_point=np.zeros(1), trace=list(values))
 
 
 class TestTraceCsv:
@@ -123,16 +121,13 @@ class TestTraceContract:
         [
             ([2.0, 3.0], 2, 3.0),  # best-so-far rises
             ([2.0, math.nan], 2, math.nan),  # rises to non-finite
-            ([2.0, 1.0, 1.0], 2, 1.0),  # more rows than evaluations
-            ([2.0], 2, 2.0),  # fewer rows than evaluations
-            ([2.0, 1.0], 2, 2.0),  # last row is not best_value
         ],
     )
     def test_broken_trace_raises(self, trace, evals_used, best):
-        result = RunResult(
-            best_point=np.zeros(1), best_value=best, evals_used=evals_used,
-            trace=trace,
-        )
+        # the counts are read from the trace, so only a rise can break it
+        result = RunResult(best_point=np.zeros(1), trace=trace)
+        assert result.evals_used == evals_used
+        assert value_key(result.best_value) == value_key(best)
         with pytest.raises(ValueError):
             result.check()
 
@@ -189,6 +184,8 @@ class TestRunConfig:
             ("grid_resolution", 2.0),
             ("seed", 1.5),
             ("shift_seed", 0.5),
+            # a negative random seed would only fail once the run started
+            ("seed", -1),
         ],
     )
     def test_invalid_field_raises_at_construction(self, name, value):
@@ -563,6 +560,14 @@ CLI_EXIT_CODES = [
     pytest.param(_RUN[:3] + ["2,3,2", "--budget", "10"], 1, id="repeated-dim"),
     pytest.param(_RUN + ["--budget", "10", "--algo", "soo,soo"], 1, id="repeated-algo"),
     pytest.param(["--function", "sphere", "--dim", "0", "--budget", "10"], 1, id="dim-zero"),
+    pytest.param(_RUN[:3] + ["2,x", "--budget", "10"], 1, id="dim-not-integer"),
+    pytest.param(
+        _RUN + ["--budget", "10", "--depth-schedule", "const:x"], 1,
+        id="constant-depth-not-integer",
+    ),
+    pytest.param(
+        _RUN + ["--budget", "10", "--algo", "random", "--seed", "-1"], 1, id="seed-negative"
+    ),
     pytest.param(
         ["--function", "rosenbrock", "--dim", "1", "--budget", "50"], 2,
         id="rosenbrock-dim-one",
@@ -591,6 +596,13 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
         assert "function,soo_2d,random_2d" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_flag_writes_only_that_artifact(self, tmp_path, capsys, fmt):
+        code = main(_RUN + ["--budget", "20", "--format", fmt, "--out", str(tmp_path)])
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"sphere_2_soo_20.{fmt}"]
+        capsys.readouterr()
 
     def test_suite_manifest_prints_json(self, capsys):
         code = main(["--suite-manifest", "--dim", "3"])

@@ -10,18 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soobox import (
+    ArmStats,
     BadDimension,
     BudgetExhausted,
+    DepthSchedule,
     InvalidBounds,
     Objective,
     OutOfBounds,
+    PartitionTree,
     SUITE_NAMES,
+    SooParams,
     UnknownFunction,
+    constant_arms,
     make_objective,
+    nelder_mead,
+    refine_budget_split,
+    run_random_search,
+    run_soo,
+    run_ucb,
+    run_ucb_grid,
     shift_from_seed,
     suite_manifest,
     transformed,
 )
+from soobox.baselines import grid_divisions
 
 # =============================================================================
 # Suite structure
@@ -68,6 +80,8 @@ class TestSuiteStructure:
     def test_dim_zero_rejected(self):
         with pytest.raises(BadDimension):
             make_objective("sphere", 0, budget=10)
+        with pytest.raises(BadDimension):
+            shift_from_seed(0, 0)
 
 
 # =============================================================================
@@ -527,7 +541,8 @@ class TestObjectiveValidation:
 
     def test_shift_outside_box_rejected(self):
         # NaN fails both comparisons with the box, so it must not pass as inside
-        for shift in ([6.0, 0.0], math.nan, [0.0, math.nan], [0.0, math.inf]):
+        # (and a shift of the wrong length is rejected the same way)
+        for shift in ([6.0, 0.0], math.nan, [0.0, math.nan], [0.0, math.inf], [0.0] * 3):
             with pytest.raises(ValueError):
                 make_objective("sphere", 2, budget=1, shift=shift)
 
@@ -537,6 +552,44 @@ class TestObjectiveValidation:
         shift[0] = 1.0
         obj.optimum_point[0] = 1.0
         assert obj.evaluate([0.2, 0.2]) == obj.optimum_value
+
+
+# calls on a fresh 2-D objective: every count passed in must be an
+# integer at or above its floor, checked before any evaluation
+BAD_COUNTS = [
+    pytest.param(lambda obj: Objective(np.sum, [0.0], [1.0], 2.7), id="objective-budget"),
+    pytest.param(lambda obj: Objective(np.sum, [0.0], [1.0], -1), id="objective-budget-negative"),
+    pytest.param(lambda obj: run_soo(obj, 10.5), id="run-soo-budget"),
+    pytest.param(lambda obj: run_random_search(obj, 10.5, 0), id="random-budget"),
+    pytest.param(lambda obj: run_ucb_grid(obj, 10.5), id="ucb-grid-budget"),
+    pytest.param(
+        lambda obj: PartitionTree(obj.lower, obj.upper, obj, eval_budget=10.5),
+        id="tree-eval-budget",
+    ),
+    pytest.param(lambda obj: nelder_mead(obj, [0.0, 0.0], 7.5), id="nm-max-evals"),
+    pytest.param(lambda obj: refine_budget_split(10.5, 0.1), id="refine-split-total"),
+    pytest.param(lambda obj: grid_divisions(2, 2.5), id="grid-resolution"),
+    pytest.param(lambda obj: ArmStats(2.0), id="n-arms"),
+    pytest.param(lambda obj: run_ucb(constant_arms([1.0, 2.0]), 3.5), id="ucb-horizon"),
+    pytest.param(lambda obj: SooParams(s_children=3.0), id="s-children"),
+    pytest.param(lambda obj: DepthSchedule.constant(2.7), id="constant-depth"),
+    pytest.param(lambda obj: DepthSchedule("constant", 2.7), id="constant-depth-direct"),
+]
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("call", BAD_COUNTS)
+    def test_bad_count_raises_before_any_evaluation(self, call):
+        obj = make_objective("sphere", 2, budget=50)
+        with pytest.raises(ValueError):
+            call(obj)
+        assert obj.meter == 0
+
+    def test_numpy_integer_counts_accepted(self):
+        obj = make_objective("sphere", 2, budget=np.int64(21))
+        assert run_soo(obj, np.int64(21)).evals_used == obj.meter == 21
+        # stored as a Python int, which the JSON config echo can write
+        assert type(DepthSchedule.constant(np.int64(2)).value) is int
 
 
 # =============================================================================

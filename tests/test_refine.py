@@ -110,6 +110,9 @@ class TestNelderMead:
         obj = make_objective("sphere", 3, budget=100)
         with pytest.raises(ValueError):
             nelder_mead(obj, [0.0, 0.0, 0.0], max_evals=3)
+        with pytest.raises(ValueError):
+            nelder_mead(obj, [0.0, 0.0], max_evals=10)  # x0 of the wrong shape
+        assert obj.meter == 0
 
     def test_start_outside_box_rejected(self):
         # x0 is the first point evaluated, so the objective's own bounds

@@ -332,6 +332,8 @@ class TestDepthSchedules:
         with pytest.raises(ValueError):
             DepthSchedule("nonsense")
         with pytest.raises(ValueError):
+            DepthSchedule("log32", 3)
+        with pytest.raises(ValueError):
             max_depth(0)
 
 
