@@ -20,7 +20,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -35,7 +34,13 @@ from .baselines import (
     run_random_search,
     run_ucb_grid,
 )
-from .objectives import check_count, make_objective, suite_f_star
+from .objectives import (
+    SUITE_NAMES,
+    check_count,
+    check_shift_seed,
+    make_objective,
+    suite_f_star,
+)
 from .refine import refine_budget_split, refine_run
 from .result import RunResult, ratio_to_optimum
 from .tree import DepthSchedule, SooParams, run_soo
@@ -77,9 +82,11 @@ class RunConfig:
     def __post_init__(self):
         check_count(self.dim, "dim", 1)
         check_count(self.seed, "seed", 0)
-        # any integer is a valid shift seed: shift_from_seed masks it to 64 bits
-        if not isinstance(self.shift_seed, numbers.Integral):
-            raise ValueError(f"shift_seed must be an integer, got {self.shift_seed!r}")
+        check_shift_seed(self.shift_seed)
+        if self.function not in SUITE_NAMES:
+            raise ValueError(
+                f"unknown function {self.function!r}; suite = {', '.join(SUITE_NAMES)}"
+            )
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
@@ -331,9 +338,11 @@ def run_grid(
 
     fields are RunConfig fields shared by every cell.  Each cell is an
     independent run writing its own artifacts; with jobs > 1 cells execute
-    in worker processes.  The summary lands in `summary.csv` under
+    in worker processes.  A jobs other than an integer >= 1 raises
+    ValueError before any cell runs.  The summary lands in `summary.csv` under
     output_dir, written once at the end.
     """
+    check_count(jobs, "jobs", 1)
     configs = grid_configs(functions, dims, algorithms, **fields)
     if jobs > 1:
         # the pool forks all its workers up front, so never more than cells

@@ -78,8 +78,8 @@ def shift_from_seed(seed: int, dim: int) -> Array:
     recurrence is spelled out here instead of delegating to a library RNG
     so the mapping can never drift between platforms or library versions.
     """
-    if dim < 1:
-        raise BadDimension(f"dim must be >= 1, got {dim}")
+    check_shift_seed(seed)
+    check_count(dim, "dim", 1, BadDimension)
     state = int(seed) & _LCG_MASK
     out = np.empty(dim)
     for j in range(dim):
@@ -125,16 +125,24 @@ def _rosenbrock(z: Array) -> Array:
 
 
 def _rastrigin(z: Array) -> Array:
-    return 10.0 * z.shape[1] + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum(axis=1)
+    return _rastrigin_terms(z * z, np.cos(2.0 * np.pi * z))
+
+
+def _rastrigin_terms(squares: Array, cosines: Array) -> Array:
+    return 10.0 * squares.shape[1] + (squares - 10.0 * cosines).sum(axis=1)
 
 
 def _ackley(z: Array) -> Array:
+    return _ackley_terms(z * z, np.cos(2.0 * np.pi * z))
+
+
+def _ackley_terms(squares: Array, cosines: Array) -> Array:
     # Grouped so both exponential terms cancel exactly at z = 0:
     # 20 - 20*exp(0) == 0 and e - exp(cos-mean of 1) == 0 in doubles.
     # A mean is spelled sum / D, which is what ndarray.mean computes.
-    dim = z.shape[1]
-    rms = np.sqrt((z * z).sum(axis=1) / dim)
-    cos_mean = np.cos(2.0 * np.pi * z).sum(axis=1) / dim
+    dim = squares.shape[1]
+    rms = np.sqrt(squares.sum(axis=1) / dim)
+    cos_mean = cosines.sum(axis=1) / dim
     return np.array(
         [
             (20.0 - 20.0 * math.exp(-0.2 * r)) + (_E - math.exp(c))
@@ -155,7 +163,13 @@ def _styblinski_tang(z: Array) -> Array:
 
 
 def _composite3(z: Array) -> Array:
-    return _sphere(z) + _rastrigin(z) + _ackley(z)
+    # rastrigin and ackley share one z * z and one cos(2 pi z) per block
+    squares, cosines = z * z, np.cos(2.0 * np.pi * z)
+    return (
+        _sphere(z)
+        + _rastrigin_terms(squares, cosines)
+        + _ackley_terms(squares, cosines)
+    )
 
 
 # name -> (base function, minimum supported dimension), in suite order:
@@ -179,13 +193,23 @@ SUITE_NAMES: tuple[str, ...] = tuple(_BASE)
 # ---------------------------------------------------------------------------
 
 
-def check_count(value, name: str, least: int) -> None:
-    """Raise ValueError unless value is an integer (numbers.Integral) >= least.
+def check_count(
+    value, name: str, least: int, error: type[Exception] = ValueError
+) -> None:
+    """Raise error unless value is an integer (numbers.Integral) >= least.
 
-    Every count passed in, such as a budget or a number of arms, goes
-    through this one check, so none is silently truncated or rounded."""
+    Every count passed in, such as a budget, a number of arms or a
+    dimension, goes through this one check, so none is silently truncated
+    or rounded.  A bad dimension raises BadDimension (error=BadDimension)."""
     if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_shift_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer.  Any integer is a valid
+    shift seed: shift_from_seed masks it to 64 bits."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"shift_seed must be an integer, got {seed!r}")
 
 
 def checked_box(lower, upper) -> tuple[Array, Array]:
@@ -367,8 +391,7 @@ def make_objective(
     """
     bias = suite_f_star(name)
     g, min_dim = _BASE[name]
-    if dim < min_dim:
-        raise BadDimension(f"{name} requires dim >= {min_dim}, got {dim}")
+    check_count(dim, f"{name} dim", min_dim, BadDimension)
     if shift is None:
         shift_vec = shift_from_seed(shift_seed, dim)
     else:

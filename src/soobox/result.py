@@ -61,6 +61,12 @@ class TraceRecorder:
         self.entries.append(self._best_raw)
         return improved
 
+    def extend(self, values) -> None:
+        """Record each value in turn."""
+        record = self.record
+        for value in values:
+            record(value)
+
     @property
     def best_value(self) -> float:
         """Current incumbent value, verbatim (may be NaN before any record)."""

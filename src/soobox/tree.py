@@ -14,16 +14,18 @@ This makes the method rank-based: only comparisons between observed values
 drive the tree, so any strictly increasing transform of the objective
 yields the identical sequence of splits.
 
-Storage: the tree keeps every cell's lower corner, upper corner and
-midpoint (lower + upper) / 2 in one preallocated (rows, 3, D) array; a
-cell's id is its row.  A split copies the parent's row into its S child
-rows in one broadcast and then rewrites the (S, 3) slab edges and
-midpoints along the split dimension.  Two per-cell fields are derived
-rather than stored: the split dimension is depth % D, and the parent of
-cell id > 0 is split_log[(id - 1) // S], since the k-th split appends
-children 1 + k*S .. (k + 1)*S.  A middle child ((id - 1) % S == (S - 1) // 2)
-is never evaluated at its own midpoint: its center is the point of the
-nearest ancestor that paid for its value.
+Storage: the tree keeps the root box once and, for every other cell, only
+the interval (lo, up) along the dimension its parent cut, (depth - 1) % D,
+in two lists of Python floats; a cell's id is its position in them.  A
+cell's corners are rebuilt by walking its nearest min(depth, D) ancestors,
+itself included, which cut distinct dimensions, and taking the root box
+for the rest.  Its midpoint is (lower + upper) / 2 in Python floats,
+bit-identical to the same numpy arithmetic.  Two per-cell fields are
+derived rather than stored: the split dimension is depth % D, and the
+parent of cell id > 0 is split_log[(id - 1) // S], since the k-th split
+appends children 1 + k*S .. (k + 1)*S.  A middle child
+((id - 1) % S == (S - 1) // 2) is never evaluated at its own midpoint: its
+center is the point of the nearest ancestor that paid for its value.
 
 The per-sweep depth cap follows max(1, floor((ln t)^(3/2))) with t the
 number of evaluations consumed when the sweep starts, so the tree may
@@ -126,8 +128,8 @@ class SooParams:
 class Cell:
     """Read-only view of one box of the partition, evaluated at its center.
 
-    The box arrays are read-only views into the tree's storage.  A view
-    holds its tree; the tree never holds a view.
+    Each box array is built fresh from the tree's interval log on access
+    and is read-only.  A view holds its tree; the tree never holds a view.
     """
 
     __slots__ = ("_tree", "id")
@@ -136,23 +138,18 @@ class Cell:
         self._tree = tree
         self.id = cell_id
 
-    def _row(self, cell_id: int, part: int) -> Array:
-        row = self._tree._box[cell_id, part]
-        row.flags.writeable = False
-        return row
-
     @property
     def lower(self) -> Array:
-        return self._row(self.id, 0)
+        return _frozen(self._tree._box(self.id)[0])
 
     @property
     def upper(self) -> Array:
-        return self._row(self.id, 1)
+        return _frozen(self._tree._box(self.id)[1])
 
     @property
     def center(self) -> Array:
         """The point this cell's value was evaluated at."""
-        return self._row(self._tree._paid_id(self.id), 2)
+        return _frozen(self._tree._box(self._tree._paid_id(self.id))[2])
 
     @property
     def value(self) -> float:
@@ -177,6 +174,12 @@ class Cell:
     @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
+
+
+def _frozen(values) -> Array:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 class CellsView(Sequence):
@@ -204,14 +207,11 @@ class CellsView(Sequence):
 class PartitionTree:
     """Partition state plus the evaluation trace for one run.
 
-    Cells live in the rows of one preallocated (rows, 3, D) array holding
-    each cell's lower corner, upper corner and midpoint, plus per-cell
-    lists of value, depth and leaf flag; a cell's id is its row, and its
+    Cells live in an interval log: per-cell lists of the interval along
+    the dimension the parent cut, value, depth and leaf flag, plus the
+    root box stored once; a cell's id is its index, and its corners,
     split dimension, parent and center are derived (see the module
-    docstring).  The array is sized once, for the most cells the budget
-    can pay for, and never reallocated: rows not yet written cost address
-    space, not resident memory, and no mid-run copy-and-free makes the
-    peak memory of a process depend on the allocator's history.
+    docstring).  A cell costs the same few list slots whatever D is.
 
     Leaves are tracked per depth in lazy-deletion min-heaps keyed by
     (value_key, id), so each sweep touches only the depths it visits and
@@ -239,22 +239,19 @@ class PartitionTree:
         self.dim = lower.size
         self.split_log: list[int] = []
         self.trace = TraceRecorder()
+        self._mid = (self.params.s_children - 1) // 2
 
-        s = self.params.s_children
-        self._mid = (s - 1) // 2
-        # rows of a split's block that need a fresh evaluation
-        self._fresh_rows = np.array(
-            [k for k in range(s) if k != self._mid], dtype=np.intp
-        )
-
-        self._require_budget(1)
+        # eval_budget >= 1 pays for the root; the objective meters its own
         center = (lower + upper) / 2.0
         value = self.objective.evaluate(center)
         self.trace.record(value)
 
-        rows = 1 + s * (self.remaining // (s - 1))  # root + affordable splits
-        self._box = np.empty((rows, 3, self.dim))  # lower, upper, midpoint
-        self._box[0] = lower, upper, center
+        self._root = (lower.tolist(), upper.tolist(), center.tolist())
+        # D - 1 .. 0 twice: a slice of it lists the dimensions cut along a path
+        self._dims_down = list(range(self.dim - 1, -1, -1)) * 2
+        # the root was cut by no parent: its slots are never read
+        self._lo: list[float] = [math.nan]
+        self._up: list[float] = [math.nan]
         self._value: list[float] = [value]
         self._depth: list[int] = [0]
         self._is_leaf: list[bool] = [True]
@@ -273,12 +270,6 @@ class PartitionTree:
         if self.eval_budget is not None:
             left = min(left, self.eval_budget - self.eval_count)
         return left
-
-    def _require_budget(self, needed: int) -> None:
-        if self.remaining < needed:
-            raise BudgetExhausted(
-                f"need {needed} evaluations, only {self.remaining} left"
-            )
 
     # -- structure ----------------------------------------------------------
 
@@ -303,6 +294,23 @@ class PartitionTree:
             cell_id = self._parent_id(cell_id)
         return cell_id
 
+    def _box(self, cell_id: int) -> tuple[list[float], list[float], list[float]]:
+        """A cell's lower corner, upper corner and midpoint, as fresh lists:
+        the nearest min(depth, D) cells on its path, itself first, cut the
+        dimensions (depth - 1) % D downward; the root box gives the rest."""
+        lower, upper, center = self._root
+        lower, upper, center = lower.copy(), upper.copy(), center.copy()
+        los, ups, log = self._lo, self._up, self.split_log
+        dim, s = self.dim, self.params.s_children
+        depth = self._depth[cell_id]
+        start = dim - depth % dim
+        for j in self._dims_down[start:start + min(depth, dim)]:
+            lower[j] = lo = los[cell_id]
+            upper[j] = up = ups[cell_id]
+            center[j] = (lo + up) / 2.0
+            cell_id = log[(cell_id - 1) // s]
+        return lower, upper, center
+
     @property
     def cells(self) -> CellsView:
         """Read-only views of every cell, indexed by id (a fresh view per access)."""
@@ -312,10 +320,10 @@ class PartitionTree:
         """Split a leaf into S slabs along its scheduled dimension.
 
         Costs exactly S - 1 evaluations, taken all-or-nothing: the fresh
-        centers are evaluated as one batch before the tree changes, so when
-        the budget cannot cover a full split (BudgetExhausted) or the
-        objective raises, the tree, its trace and the objective's meter are
-        left untouched.  Returns the child ids in coordinate order.
+        centers are evaluated as one metered batch before the tree changes,
+        so when the run budget or the objective's meter cannot cover a full
+        split (BudgetExhausted) or the objective raises, the tree, its trace
+        and the meter are left untouched.  Returns the child ids in order.
         """
         n = len(self._value)
         if not 0 <= leaf_id < n:
@@ -323,60 +331,45 @@ class PartitionTree:
         if not self._is_leaf[leaf_id]:
             raise NotALeaf(f"cell {leaf_id} was already split")
         s = self.params.s_children
-        self._require_budget(s - 1)
-        end = n + s
+        budget = self.eval_budget
+        if budget is not None and len(self.trace.entries) + s - 1 > budget:
+            raise BudgetExhausted(f"need {s - 1} evaluations, {self.remaining} left")
 
-        # The children fill rows n..end-1, which stay invisible until the
-        # commit below.  Each starts as a copy of the parent's row; along
-        # the split dimension the shared interior edges lo + k*step are
-        # computed once, so adjacent children have bit-identical
-        # boundaries, and the outer edges reuse the parent's.  Python floats
-        # do the same IEEE double operations as numpy arrays, so every
-        # edge and midpoint is bit-identical to the array arithmetic.
-        box = self._box
-        d = self._depth[leaf_id] % self.dim
-        lo_d = box.item(leaf_id, 0, d)
-        up_d = box.item(leaf_id, 1, d)
+        # Along the split dimension the shared interior edges lo + k*step
+        # are computed once, so adjacent children have bit-identical
+        # boundaries, and the outer edges reuse the parent's.  A fresh
+        # child's point is the parent's midpoint with that one coordinate
+        # replaced by its slab's midpoint.
+        lower, upper, center = self._box(leaf_id)
+        depth = self._depth[leaf_id]
+        d = depth % self.dim
+        lo_d, up_d = lower[d], upper[d]
         step = (up_d - lo_d) / s
         edges = [lo_d, *[lo_d + k * step for k in range(1, s)], up_d]
-        block = box[n:end]
-        block[:] = box[leaf_id]
-        block[:, :, d] = [(a, b, (a + b) / 2.0) for a, b in zip(edges, edges[1:])]
         # Center reuse: the middle slab is not evaluated; it keeps the
         # parent's value (and, through _paid_id, the parent's point).
         mid = self._mid
-        fresh = self.objective.evaluate_batch(
-            block[:, 2].take(self._fresh_rows, axis=0)
-        )
+        points = []
+        for k in range(s):
+            if k != mid:
+                point = center.copy()
+                point[d] = (edges[k] + edges[k + 1]) / 2.0
+                points.append(point)
+        fresh = self.objective.evaluate_batch(points)
 
-        parent_value = self._value[leaf_id]
-        values = fresh[:mid] + [parent_value] + fresh[mid:]
-        child_depth = self._depth[leaf_id] + 1
-        heap = self._heaps.setdefault(child_depth, [])
+        values = fresh[:mid] + [self._value[leaf_id]] + fresh[mid:]
+        heap = self._heaps.setdefault(depth + 1, [])
         for cid, value in enumerate(values, start=n):
-            heappush(heap, (value_key(value), cid))
-        record = self.trace.record
-        for value in fresh:
-            record(value)
+            heappush(heap, (value if math.isfinite(value) else math.inf, cid))
+        self.trace.extend(fresh)
+        self._lo.extend(edges[:-1])
+        self._up.extend(edges[1:])
         self._value.extend(values)
-        self._depth.extend([child_depth] * s)
+        self._depth.extend([depth + 1] * s)
         self._is_leaf.extend([True] * s)
         self._is_leaf[leaf_id] = False
         self.split_log.append(leaf_id)
-        return list(range(n, end))
-
-    def _peek_leaf(self, depth: int) -> tuple[float, int] | None:
-        """Best (value_key, id) among leaves at a depth, lazily pruning."""
-        heap = self._heaps.get(depth)
-        if not heap:
-            return None
-        is_leaf = self._is_leaf
-        while heap:
-            key, cid = heap[0]
-            if is_leaf[cid]:
-                return key, cid
-            heappop(heap)
-        return None
+        return list(range(n, n + s))
 
     def sweep(self) -> list[int]:
         """One pass over the depths; returns the ids of the cells split.
@@ -385,38 +378,39 @@ class PartitionTree:
         its value is strictly below every value split earlier in this
         sweep.  The pass stops at the depth cap, which is fixed when the
         sweep starts: the lesser of the current deepest leaf and the
-        schedule's limit for the current evaluation count.  If the budget
-        runs out mid-sweep the splits already made stand and the partial
-        list is returned; a sweep that cannot afford even one split raises
-        BudgetExhausted.
+        schedule's limit for the current evaluation count.  The budget is
+        also read once, at the start: if it runs out mid-sweep the splits
+        already made stand and the partial list is returned; a sweep that
+        cannot afford even one split raises BudgetExhausted.
         """
         cap = min(
             self.max_leaf_depth,
             self.params.depth_schedule.limit(self.eval_count),
         )
+        affordable = self.remaining // (self.params.s_children - 1)
+        heaps, is_leaf = self._heaps, self._is_leaf
         split_ids: list[int] = []
         v_min = math.inf
-        depth = 0
-        while depth <= cap:
-            entry = self._peek_leaf(depth)
-            if entry is not None:
-                key, cid = entry
-                if key < v_min:
-                    try:
-                        self.split_leaf(cid)
-                    except BudgetExhausted:
-                        if split_ids:
-                            return split_ids
-                        raise
-                    split_ids.append(cid)
-                    v_min = key
-            depth += 1
+        for depth in range(cap + 1):
+            # the best leaf at this depth, lazily dropping split cells
+            heap = heaps[depth]
+            while heap and not is_leaf[heap[0][1]]:
+                heappop(heap)
+            if heap and heap[0][0] < v_min:
+                if not affordable:
+                    if split_ids:
+                        return split_ids
+                    raise BudgetExhausted(f"only {self.remaining} evaluations left")
+                v_min, cid = heap[0]
+                self.split_leaf(cid)
+                affordable -= 1
+                split_ids.append(cid)
         return split_ids
 
     # -- reporting ----------------------------------------------------------
 
     def incumbent(self) -> tuple[Array, float, int]:
-        """Best evaluated point: (center copy, value, cell id).
+        """Best evaluated point: (read-only center, value, cell id).
 
         The cell is the first id with the smallest value_key, which is the
         earliest-created cell among ties; middle children share their
@@ -427,7 +421,7 @@ class PartitionTree:
         keys = np.array(self._value)
         keys[~np.isfinite(keys)] = math.inf
         cid = int(keys.argmin())  # the first occurrence of the minimum
-        return self._box[self._paid_id(cid), 2].copy(), self._value[cid], cid
+        return _frozen(self._box(self._paid_id(cid))[2]), self._value[cid], cid
 
     def leaves(self):
         """Views of the current leaves, in id order."""

@@ -28,7 +28,6 @@ from soobox import (
 )
 from soobox import harness
 from soobox.cli import main
-from soobox.errors import UnknownFunction
 from soobox.harness import read_trace_csv, trace_csv_text
 from soobox.result import value_key
 
@@ -186,6 +185,8 @@ class TestRunConfig:
             ("shift_seed", 0.5),
             # a negative random seed would only fail once the run started
             ("seed", -1),
+            # as would a name outside the suite
+            ("function", "nope"),
         ],
     )
     def test_invalid_field_raises_at_construction(self, name, value):
@@ -274,11 +275,6 @@ class TestRunExperiment:
         config = RunConfig(function=name, dim=3, budget=10, shift_seed=5)
         objective = make_objective(name, 3, 0, shift_seed=5)
         assert harness._suite_f_star(config) == objective.optimum_value
-
-    def test_suite_f_star_rejects_unknown_function(self):
-        config = RunConfig(function="nope", dim=2, budget=10)
-        with pytest.raises(UnknownFunction):
-            harness._suite_f_star(config)
 
 
 class TestAtomicWrite:
@@ -444,6 +440,12 @@ class TestRunGrid:
         )
         assert requested == [2]
         assert len(summary.cells) == 2
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0])
+    def test_bad_jobs_raise_before_any_cell_runs(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_grid(["sphere"], [2], ["soo"], budget=30, output_dir=tmp_path, jobs=jobs)
+        assert not list(tmp_path.iterdir())
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,15 @@ class TestSuiteStructure:
         with pytest.raises(BadDimension):
             shift_from_seed(0, 0)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0)])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(BadDimension):
+            make_objective("sphere", dim, budget=10)
+        with pytest.raises(BadDimension):
+            make_objective("sphere", dim, budget=10, shift=0.5)
+        with pytest.raises(BadDimension):
+            shift_from_seed(0, dim)
+
 
 # =============================================================================
 # Optimum exactness
@@ -624,6 +633,13 @@ class TestShiftGeneration:
         shift = shift_from_seed(seed, dim)
         assert np.all(shift >= -2.0)
         assert np.all(shift < 2.0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "7", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="shift_seed"):
+            shift_from_seed(seed, 3)
+        with pytest.raises(ValueError, match="shift_seed"):
+            make_objective("sphere", 3, budget=10, shift_seed=seed)
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(shift_from_seed(0, 4), shift_from_seed(1, 4))

@@ -3,6 +3,7 @@
 import gc
 import math
 import struct
+import tracemalloc
 import weakref
 import zlib
 
@@ -19,6 +20,7 @@ from soobox import (
     NotALeaf,
     Objective,
     ObjectiveDegenerate,
+    PartitionTree,
     SooParams,
     incumbent,
     make_objective,
@@ -174,8 +176,8 @@ class TestCellViews:
         assert cells[2].parent == 0 and cells[0].parent is None
 
     def test_storage_grows_past_initial_rows(self):
-        # Thousands of cells fill rows far past the first few; views taken
-        # early keep reading the same boxes.
+        # Thousands of cells extend the interval log; views taken early
+        # keep reading the same boxes.
         obj = make_objective("sphere", 2, budget=10**6)
         tree = new_tree((obj.lower, obj.upper), obj)
         split_leaf(tree, 0)
@@ -191,19 +193,6 @@ class TestCellViews:
         parent = tree.cells[child.parent]
         assert np.all(parent.lower <= child.lower)
         assert np.all(child.upper <= parent.upper)
-
-    @pytest.mark.parametrize("s", [3, 5, 7])
-    def test_rows_sized_once_for_the_whole_budget(self, s):
-        # The box array holds every cell the budget can pay for, so a run
-        # that spends it all fills its rows without reallocating.
-        for budget in range(1, 3 * s):
-            obj = linear_objective(budget=budget)
-            tree = new_tree((obj.lower, obj.upper), obj, SooParams(s_children=s))
-            rows = tree._box
-            while tree.remaining >= s - 1:
-                split_leaf(tree, tree.cells[-1].id)
-            assert tree._box is rows
-            assert len(tree.cells) == len(rows)
 
     def test_tree_is_freed_without_a_cycle_collection(self):
         obj = linear_objective()
@@ -546,6 +535,35 @@ class TestRunSoo:
         with pytest.raises(ValueError):
             run_soo(obj, budget=0)
 
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_peak_bytes_per_evaluation(self, s):
+        # A cell stores one interval, not its D-dimensional box: this 10-D
+        # run peaks at 196-245 B per evaluation under tracemalloc (CPython
+        # 3.11, S = 7..3), where keeping each cell's box costs 431-554 B.
+        obj = make_objective("sphere", 10, budget=5000)
+        tracemalloc.start()
+        try:
+            result = run_soo(obj, 5000, SooParams(s_children=s))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / result.evals_used < 300
+
+    def test_sweeps_split_through_split_leaf(self, monkeypatch):
+        # Tracers wrap PartitionTree.split_leaf, so every split a run makes
+        # must go through it.
+        calls = []
+        split = PartitionTree.split_leaf
+
+        def counting(tree, leaf_id):
+            calls.append(leaf_id)
+            return split(tree, leaf_id)
+
+        monkeypatch.setattr(PartitionTree, "split_leaf", counting)
+        result = run_soo(make_objective("rastrigin", 3, budget=2000), 2000)
+        assert len(calls) == len(result.split_ids) > 0
+        assert tuple(calls) == result.split_ids
+
     def test_rank_invariance_quick(self):
         base = make_objective("rastrigin", 2, budget=300)
         warped = transformed(
@@ -698,21 +716,23 @@ class TestGeometryReplay:
 
     @given(
         s=st.sampled_from([3, 5, 7]),
-        dim=st.sampled_from([1, 2, 3, 10]),
+        dim=st.sampled_from([1, 2, 3, 10, 30]),
         narrow=st.booleans(),
         corner=st.floats(min_value=-100.0, max_value=100.0),
         widths=st.lists(
-            st.floats(min_value=1e-3, max_value=100.0), min_size=10, max_size=10
+            st.floats(min_value=1e-3, max_value=100.0), min_size=30, max_size=30
         ),
         salt=st.integers(min_value=0, max_value=2**32 - 1),
         levels=st.integers(min_value=1, max_value=6),
         nan_level=st.integers(min_value=-1, max_value=5),
         chain=st.integers(min_value=4, max_value=7),
+        past_dim=st.booleans(),
         budget=st.integers(min_value=1, max_value=400),
     )
     @settings(max_examples=80, deadline=None)
     def test_cells_match_replay(
-        self, s, dim, narrow, corner, widths, salt, levels, nan_level, chain, budget
+        self, s, dim, narrow, corner, widths, salt, levels, nan_level, chain,
+        past_dim, budget,
     ):
         if narrow:
             # a tiny box far from the origin: edges and midpoints round,
@@ -724,7 +744,11 @@ class TestGeometryReplay:
             hi = lo + np.array(widths[:dim])
         obj = _crc_objective(lo, hi, salt, levels, nan_level)
         tree = new_tree((lo, hi), obj, SooParams(s_children=s))
-        # a forced chain of nested middle children, then sweeps to budget
+        # a forced chain of nested middle children, then sweeps to budget;
+        # a chain past 2 * D cuts every dimension at least twice, so a
+        # corner comes from the nearest of several cuts along it
+        if past_dim:
+            chain += 2 * dim
         mid = (s - 1) // 2
         cid = 0
         for _ in range(chain):
