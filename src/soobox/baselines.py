@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, UnpulledArm
 from .objectives import Objective, check_count
-from .result import RunResult, TraceRecorder, ratio_to_optimum
+from .result import RunResult, TraceRecorder
 
 Array = np.ndarray
 
@@ -74,8 +74,8 @@ class ArmStats:
 
 
 def check_exploration(c: float, name: str = "c") -> None:
-    """Reject an exploration constant that is not finite and >= 0."""
-    if not (math.isfinite(c) and c >= 0.0):
+    """Reject an exploration constant that is a bool, or not finite and >= 0."""
+    if isinstance(c, bool) or not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {c}")
 
 
@@ -123,8 +123,12 @@ class UcbRun:
     """
 
     history: list[tuple[int, float]]
-    recommendation: int
     stats: ArmStats = field(repr=False)
+
+    @property
+    def recommendation(self) -> int:
+        # max keeps the first of equal means, and nothing beats a NaN first mean
+        return max(range(self.stats.n_arms), key=self.stats.means.__getitem__)
 
 
 def run_ucb(
@@ -148,15 +152,14 @@ def run_ucb(
         reward = float(reward_sources[arm]())
         stats.update(arm, reward)
         history.append((arm, reward))
-    # max keeps the first of equal means, and nothing beats a NaN first mean
-    best_arm = max(range(k), key=stats.means.__getitem__)
-    return UcbRun(history=history, recommendation=best_arm, stats=stats)
+    return UcbRun(history=history, stats=stats)
 
 
 def bernoulli_arms(
     probabilities: Sequence[float], seed: int
 ) -> list[Callable[[], float]]:
     """Independent seeded Bernoulli reward sources, one stream per arm."""
+    check_count(seed, "seed", 0)
     children = np.random.SeedSequence(seed).spawn(len(probabilities))
     arms = []
     for p, child in zip(probabilities, children):
@@ -174,18 +177,6 @@ def constant_arms(values: Sequence[float]) -> list[Callable[[], float]]:
 # ---------------------------------------------------------------------------
 
 
-def _finish_run(
-    objective: Objective,
-    best_point: Array,
-    trace: TraceRecorder,
-) -> RunResult:
-    return RunResult(
-        best_point=best_point,
-        trace=trace.entries,
-        ratio=ratio_to_optimum(trace.best_value, objective.optimum_value),
-    )
-
-
 def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult:
     """Evaluate i.i.d. uniform points from a seeded generator.
 
@@ -198,20 +189,19 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     objective's own budget runs dry first.
     """
     check_count(budget, "budget", 1)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     trace = TraceRecorder()
     best_point: Array | None = None
-    done = 0
-    while done < budget and objective.remaining >= 1:
-        k = min(RANDOM_BLOCK, budget - done, objective.remaining)
+    while len(trace.entries) < budget and objective.remaining >= 1:
+        k = min(RANDOM_BLOCK, budget - len(trace.entries), objective.remaining)
         points = rng.uniform(objective.lower, objective.upper, size=(k, objective.dim))
         for row, value in enumerate(objective.evaluate_batch(points)):
             if trace.record(value):
                 best_point = points[row]
-        done += k
     if best_point is None:
         raise BudgetExhausted("objective had no evaluations remaining")
-    return _finish_run(objective, best_point.copy(), trace)
+    return RunResult(best_point.copy(), trace.entries, f_star=objective.optimum_value)
 
 
 def grid_divisions(dim: int, resolution: int) -> list[int]:
@@ -265,4 +255,4 @@ def run_ucb_grid(
             best_point = centers[arm]
     if best_point is None:
         raise BudgetExhausted("objective had no evaluations remaining")
-    return _finish_run(objective, best_point.copy(), trace)
+    return RunResult(best_point.copy(), trace.entries, f_star=objective.optimum_value)

@@ -60,8 +60,9 @@ class RunConfig:
     """Everything that determines one run, picklable for worker processes.
 
     The one place that holds the run settings, their defaults and their
-    checks: an invalid value raises ValueError at construction, never
-    once the run has started.
+    checks: an invalid value raises ValueError at construction, except a
+    dim below the function's own minimum (rosenbrock at 1), which raises
+    BadDimension once the run builds its objective.
     """
 
     function: str
@@ -389,10 +390,15 @@ class BudgetComparison:
     budgets: list[int]
     ratios: list[float]
     best_values: list[float]
-    improvements: list[float]
+
+    @property
+    def improvements(self) -> list[float]:
+        return [(r1 - r2) / r1 for r1, r2 in zip(self.ratios, self.ratios[1:])]
 
     def to_json_text(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
+        payload = dataclasses.asdict(self)
+        payload["improvements"] = self.improvements
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def compare_budgets(
@@ -421,16 +427,12 @@ def compare_budgets(
         result = run_algorithm(config)
         ratios.append(result.ratio if result.ratio is not None else math.nan)
         best_values.append(result.best_value)
-    improvements = [
-        (r1 - r2) / r1 for r1, r2 in zip(ratios, ratios[1:])
-    ]
     comparison = BudgetComparison(
         function=function,
         dim=dim,
         budgets=list(budgets),
         ratios=ratios,
         best_values=best_values,
-        improvements=improvements,
     )
     if output_dir is not None:
         out = Path(output_dir)

@@ -200,15 +200,17 @@ def check_count(
 
     Every count passed in, such as a budget, a number of arms or a
     dimension, goes through this one check, so none is silently truncated
-    or rounded.  A bad dimension raises BadDimension (error=BadDimension)."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    or rounded, and a bool is rejected, not read as 0 or 1.  A bad
+    dimension raises BadDimension (error=BadDimension)."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_shift_seed(seed) -> None:
-    """Raise ValueError unless seed is an integer.  Any integer is a valid
-    shift seed: shift_from_seed masks it to 64 bits."""
-    if not isinstance(seed, numbers.Integral):
+    """Raise ValueError unless seed is an integer other than a bool.  Any
+    integer is a valid shift seed: shift_from_seed masks it to 64 bits."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ValueError(f"shift_seed must be an integer, got {seed!r}")
 
 

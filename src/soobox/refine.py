@@ -13,8 +13,8 @@ run's trace: the earliest of the smallest values, non-finite sorting last.
 
 The hybrid entry point reserves a fixed fraction of the total budget up
 front, runs the global stage on the remainder, then spends the reserve
-polishing the global incumbent.  Traces from the two stages concatenate
-into one contract-conforming trace.
+polishing the global incumbent.  The search's trace, replayed into a
+recorder primed with that incumbent, extends the global stage's trace.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExhausted
 from .objectives import Objective, check_count
-from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
+from .result import RunResult, TraceRecorder, value_key
 
 Array = np.ndarray
 
@@ -45,13 +45,23 @@ _RESTART_SCALE = 0.1
 
 @dataclass
 class NmResult:
-    """Best point found, its value, evaluations spent, and exit flags."""
+    """Best point found, its best-so-far trace, and exit flags; value and
+    evals_used are read from the trace (its last entry and its length)."""
 
     point: Array
-    value: float
-    evals_used: int
+    trace: list[float]
     budget_exhausted: bool = False
     restarts: int = 0
+
+    @property
+    def value(self) -> float:
+        """The best value found: the last trace entry."""
+        return self.trace[-1]
+
+    @property
+    def evals_used(self) -> int:
+        """Evaluations spent: one trace entry per evaluation."""
+        return len(self.trace)
 
 
 class _Stop(Exception):
@@ -76,12 +86,7 @@ def _offset_simplex(x0: Array, scale: float, lower: Array, upper: Array) -> Arra
     return verts
 
 
-def nelder_mead(
-    objective: Objective,
-    x0,
-    max_evals: int,
-    trace: TraceRecorder | None = None,
-) -> NmResult:
+def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
     """Minimize from x0, spending at most max_evals evaluations.
 
     max_evals must cover the initial simplex (dim + 1 points).  The best
@@ -99,23 +104,21 @@ def nelder_mead(
         raise ValueError(f"expected a start point of dimension {dim}")
     check_count(max_evals, "max_evals", dim + 1)
 
-    # this search's own best-so-far: one entry per evaluation it made
-    own = TraceRecorder()
+    # this search's best-so-far: one entry per evaluation it made
+    trace = TraceRecorder()
     exhausted = False
     best_point: Array | None = None
 
     def evaluate(x: Array) -> float:
         nonlocal exhausted, best_point
-        if len(own.entries) >= max_evals:
+        if len(trace.entries) >= max_evals:
             raise _Stop
         try:
             v = objective.evaluate(x)
         except BudgetExhausted:
             exhausted = True
             raise _Stop from None
-        if trace is not None:
-            trace.record(v)
-        if own.record(v):
+        if trace.record(v):
             best_point = x.copy()
         return v
 
@@ -193,8 +196,7 @@ def nelder_mead(
         raise BudgetExhausted("no evaluations possible before the budget ran out")
     return NmResult(
         point=best_point.copy(),
-        value=own.best_value,
-        evals_used=len(own.entries),
+        trace=trace.entries,
         budget_exhausted=exhausted,
         restarts=restarts,
     )
@@ -240,8 +242,9 @@ def refine_run(
     nm_budget = min(reserve, objective.remaining)
     if nm_budget < objective.dim + 1:
         return result
+    nm = nelder_mead(objective, result.best_point, nm_budget)
     trace = TraceRecorder(best_value=result.best_value)
-    nm = nelder_mead(objective, result.best_point, nm_budget, trace=trace)
+    trace.extend(nm.trace)
     if value_key(nm.value) < value_key(result.best_value):
         best_point = nm.point
     else:
@@ -249,6 +252,6 @@ def refine_run(
     return RunResult(
         best_point=best_point,
         trace=list(result.trace) + trace.entries,
-        ratio=ratio_to_optimum(trace.best_value, objective.optimum_value),
+        f_star=objective.optimum_value,
         split_ids=result.split_ids,
     )

@@ -83,15 +83,15 @@ class RunResult:
     """Outcome of a single optimization run.
 
     evals_used and best_value are read from the trace: its length and its
-    last entry.  ratio is best_value divided by the known optimum when one
-    is attached to the objective, else None.  split_ids lists the cell ids
+    last entry.  f_star is the objective's known optimum value, or None,
+    and ratio is best_value divided by it.  split_ids lists the cell ids
     split by the partition optimizer in order, and stays empty for the
     baselines.
     """
 
     best_point: np.ndarray
     trace: list[float]
-    ratio: float | None = None
+    f_star: float | None = None
     split_ids: tuple[int, ...] = field(default_factory=tuple)
 
     @property
@@ -103,6 +103,11 @@ class RunResult:
     def best_value(self) -> float:
         """The incumbent value: the last trace entry."""
         return self.trace[-1]
+
+    @property
+    def ratio(self) -> float | None:
+        """best_value / f_star, or None when the optimum is unknown or zero."""
+        return ratio_to_optimum(self.best_value, self.f_star)
 
     def check(self) -> None:
         """Validate the trace contract, raising ValueError on a breach.

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NotALeaf, ObjectiveDegenerate
 from .objectives import Objective, check_count, checked_box
-from .result import RunResult, TraceRecorder, ratio_to_optimum, value_key
+from .result import RunResult, TraceRecorder, value_key
 
 Array = np.ndarray
 
@@ -219,7 +219,8 @@ class PartitionTree:
 
     Nothing is counted twice: the best-so-far trace is the run's one
     evaluation ledger, so eval_count is its length; max_leaf_depth is the
-    number of depth heaps minus one; and incumbent() scans the values.
+    number of depth heaps minus one; and incumbent() is the first cell
+    holding the trace's best value.
     """
 
     def __init__(
@@ -412,16 +413,14 @@ class PartitionTree:
     def incumbent(self) -> tuple[Array, float, int]:
         """Best evaluated point: (read-only center, value, cell id).
 
-        The cell is the first id with the smallest value_key, which is the
-        earliest-created cell among ties; middle children share their
-        ancestor's value but carry larger ids, so a reused center never
-        displaces the cell that paid for it.  The point is always that of
-        the cell that paid for the value.
+        The cell is the first one holding the trace's best value.  Ids
+        follow evaluation order and a middle child holds its parent's
+        value at a larger id, so that first cell is the one whose
+        evaluation the trace's best-so-far rule picked, and its own center
+        is the point.
         """
-        keys = np.array(self._value)
-        keys[~np.isfinite(keys)] = math.inf
-        cid = int(keys.argmin())  # the first occurrence of the minimum
-        return _frozen(self._box(self._paid_id(cid))[2]), self._value[cid], cid
+        cid = self._value.index(self.trace.best_value)
+        return _frozen(self._box(cid)[2]), self._value[cid], cid
 
     def leaves(self):
         """Views of the current leaves, in id order."""
@@ -477,13 +476,12 @@ def run_soo(
         if not split_ids:
             break
 
-    point, value, _ = tree.incumbent()
-    if not math.isfinite(value):
+    if not math.isfinite(tree.trace.best_value):
         raise ObjectiveDegenerate("every evaluated point was non-finite")
 
     return RunResult(
-        best_point=point,
+        best_point=tree.incumbent()[0],
         trace=tree.trace.entries,
-        ratio=ratio_to_optimum(value, objective.optimum_value),
+        f_star=objective.optimum_value,
         split_ids=tuple(tree.split_log),
     )

@@ -185,6 +185,13 @@ class TestRunConfig:
             ("shift_seed", 0.5),
             # a negative random seed would only fail once the run started
             ("seed", -1),
+            # a bool is not a count, nor an exploration constant
+            ("dim", True),
+            ("budget", True),
+            ("grid_resolution", True),
+            ("seed", True),
+            ("shift_seed", True),
+            ("exploration", True),
             # as would a name outside the suite
             ("function", "nope"),
         ],

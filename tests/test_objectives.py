@@ -21,6 +21,7 @@ from soobox import (
     SUITE_NAMES,
     SooParams,
     UnknownFunction,
+    bernoulli_arms,
     constant_arms,
     make_objective,
     nelder_mead,
@@ -83,7 +84,7 @@ class TestSuiteStructure:
         with pytest.raises(BadDimension):
             shift_from_seed(0, 0)
 
-    @pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0), True])
     def test_non_integer_dim_rejected(self, dim):
         with pytest.raises(BadDimension):
             make_objective("sphere", dim, budget=10)
@@ -583,6 +584,14 @@ BAD_COUNTS = [
     pytest.param(lambda obj: SooParams(s_children=3.0), id="s-children"),
     pytest.param(lambda obj: DepthSchedule.constant(2.7), id="constant-depth"),
     pytest.param(lambda obj: DepthSchedule("constant", 2.7), id="constant-depth-direct"),
+    # a seed is a count from 0: checked before anything is drawn
+    pytest.param(lambda obj: run_random_search(obj, 10, 1.5), id="random-seed"),
+    pytest.param(lambda obj: bernoulli_arms([0.5], 1.5), id="bernoulli-seed"),
+    # a bool is not a count, though bool subclasses int
+    pytest.param(lambda obj: run_soo(obj, True), id="run-soo-budget-bool"),
+    pytest.param(lambda obj: run_random_search(obj, 10, True), id="random-seed-bool"),
+    pytest.param(lambda obj: ArmStats(True), id="n-arms-bool"),
+    pytest.param(lambda obj: DepthSchedule("constant", True), id="constant-depth-bool"),
 ]
 
 
@@ -634,7 +643,7 @@ class TestShiftGeneration:
         assert np.all(shift >= -2.0)
         assert np.all(shift < 2.0)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, "7", None])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "7", None, True])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="shift_seed"):
             shift_from_seed(seed, 3)

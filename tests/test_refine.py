@@ -40,6 +40,11 @@ class TestNmParams:
 # The best-so-far rule Nelder-Mead keeps its incumbent by
 # =============================================================================
 
+# few distinct values, so ties, signed zeros, NaN and +/-inf recur
+_SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.5]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
 
 class TestTraceRecorder:
     @pytest.mark.parametrize(
@@ -72,6 +77,24 @@ class TestTraceRecorder:
         # repr tells NaN, inf and the sign of zero apart exactly
         assert [repr(v) for v in rec.entries] == [repr(v) for v in entries]
         assert repr(rec.best_value) == repr(entries[-1])
+
+    @given(
+        primed=st.none() | _SPECIAL_FLOATS,
+        values=st.lists(_SPECIAL_FLOATS, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_replaying_a_running_best_matches_the_raw_values(self, primed, values):
+        # refine_run extends a primed recorder with Nelder-Mead's own
+        # best-so-far trace instead of its raw values
+        raw = TraceRecorder(best_value=primed)
+        raw.extend(values)
+        search = TraceRecorder()
+        search.extend(values)
+        replayed = TraceRecorder(best_value=primed)
+        replayed.extend(search.entries)
+        # repr tells NaN, inf and the sign of zero apart exactly
+        assert [repr(v) for v in replayed.entries] == [repr(v) for v in raw.entries]
+        assert repr(replayed.best_value) == repr(raw.best_value)
 
 
 # =============================================================================
@@ -116,14 +139,12 @@ class TestNelderMead:
 
     def test_start_outside_box_rejected(self):
         # x0 is the first point evaluated, so the objective's own bounds
-        # check rejects it before anything is metered or recorded
+        # check rejects it before anything is metered
         for x0 in ([9.0, 0.0], [math.nan, 0.0], [0.0, -math.inf]):
             obj = make_objective("sphere", 2, budget=100)
-            trace = TraceRecorder()
             with pytest.raises(OutOfBounds):
-                nelder_mead(obj, x0, max_evals=50, trace=trace)
+                nelder_mead(obj, x0, max_evals=50)
             assert obj.meter == 0
-            assert trace.entries == []
 
     def test_never_leaves_the_box(self):
         # Start hugging a corner: reflections and expansions would exit
