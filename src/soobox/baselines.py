@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExhausted, UnpulledArm
-from .objectives import Objective, check_count
+from .objectives import Objective, check_count, check_exploration
 from .result import RunResult, TraceRecorder
 
 Array = np.ndarray
@@ -71,12 +71,6 @@ class ArmStats:
         self.pulls[arm] += 1
         self._sums[arm] += float(reward)
         self.t += 1
-
-
-def check_exploration(c: float, name: str = "c") -> None:
-    """Reject an exploration constant that is a bool, or not finite and >= 0."""
-    if isinstance(c, bool) or not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {c}")
 
 
 def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:

@@ -2,10 +2,10 @@
 
 Single runs and grids share one flag surface: `--function` and `--dim`
 accept comma-separated lists, and any cross product larger than one cell
-becomes a grid with a `summary.csv`.  Flags that set a RunConfig field
-are passed only when given, so RunConfig alone holds their defaults and
-checks.  Exit codes: 0 on success, 1 on a usage error (including every
-invalid flag value), 2 on a runtime failure.
+becomes a grid with a `summary.csv`.  Flags only map text to values, and
+those that set a RunConfig field are passed only when given, so RunConfig
+alone holds their defaults and checks.  Exit codes: 0 on success, 1 on a
+usage error (including every invalid flag value), 2 on a runtime failure.
 
 Examples:
 
@@ -31,7 +31,7 @@ from .harness import (
     run_experiment,
     run_grid,
 )
-from .objectives import SUITE_NAMES, suite_manifest
+from .objectives import SUITE_NAMES, check_count, suite_manifest
 from .tree import DepthSchedule
 
 
@@ -58,25 +58,15 @@ def _parse_functions(text: str) -> list[str]:
     names = []
     for name in text.split(","):
         name = name.strip()
-        if name == "all":
-            names.extend(SUITE_NAMES)
-        elif name in SUITE_NAMES:
-            names.append(name)
-        else:
-            raise argparse.ArgumentTypeError(
-                f"unknown function {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
-            )
+        names.extend(SUITE_NAMES if name == "all" else [name])
     return names
 
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        dims = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from None
-    if any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError("dimensions must be >= 1")
-    return dims
 
 
 def _parse_schedule(text: str) -> DepthSchedule:
@@ -186,8 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--function is required")
         if not args.dim:
             parser.error("--dim is required")
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
+        check_count(args.jobs, "jobs", 1)
         fields = {k: v for k, v in vars(args).items() if k in _SHARED_FIELDS}
         configs = grid_configs(args.function, args.dim, args.algo, **fields)
     except (_UsageError, ValueError) as err:
@@ -201,10 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         if len(configs) == 1:
             config = configs[0]
             result = run_experiment(config)
-            ratio = "n/a" if result.ratio is None else format(result.ratio, ".17g")
             print(
                 f"{config.stem}: best_value={result.best_value:.17g} "
-                f"ratio={ratio} evals={result.evals_used}"
+                f"ratio={result.ratio:.17g} evals={result.evals_used}"
             )
         else:
             summary = run_grid(

@@ -29,12 +29,12 @@ class ObjectiveDegenerate(SooboxError):
     """Every evaluated point returned a non-finite value."""
 
 
-class UnknownFunction(SooboxError):
-    """A benchmark function name is not part of the suite."""
+class UnknownFunction(SooboxError, ValueError):
+    """A benchmark function name is not part of the suite (a bad argument)."""
 
 
-class BadDimension(SooboxError):
-    """The requested dimension is invalid for the chosen function."""
+class BadDimension(SooboxError, ValueError):
+    """The requested dimension is invalid for the chosen function (a bad argument)."""
 
 
 class UnpulledArm(SooboxError):

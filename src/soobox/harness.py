@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -30,14 +29,15 @@ from pathlib import Path
 from .baselines import (
     DEFAULT_EXPLORATION,
     DEFAULT_GRID_RESOLUTION,
-    check_exploration,
     run_random_search,
     run_ucb_grid,
 )
 from .objectives import (
-    SUITE_NAMES,
     check_count,
+    check_exploration,
+    check_fraction,
     check_shift_seed,
+    check_type,
     make_objective,
     suite_f_star,
 )
@@ -59,10 +59,10 @@ FORMATS = ("csv", "json")
 class RunConfig:
     """Everything that determines one run, picklable for worker processes.
 
-    The one place that holds the run settings, their defaults and their
-    checks: an invalid value raises ValueError at construction, except a
-    dim below the function's own minimum (rosenbrock at 1), which raises
-    BadDimension once the run builds its objective.
+    The one place that holds the run settings and their defaults.  Each is
+    checked at construction by its rule's one owner, and an invalid value
+    raises ValueError, except a dim below the function's own minimum
+    (rosenbrock at 1), which raises BadDimension once the run builds it.
     """
 
     function: str
@@ -84,25 +84,21 @@ class RunConfig:
         check_count(self.dim, "dim", 1)
         check_count(self.seed, "seed", 0)
         check_shift_seed(self.shift_seed)
-        if self.function not in SUITE_NAMES:
-            raise ValueError(
-                f"unknown function {self.function!r}; suite = {', '.join(SUITE_NAMES)}"
-            )
+        suite_f_star(self.function)  # UnknownFunction, a ValueError
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
+        check_type(self.cec_budget, bool, "cec_budget")
         if self.cec_budget == (self.budget is not None):
             raise ValueError("exactly one of budget and cec_budget is required")
         if self.budget is not None:
             check_count(self.budget, "budget", 1)
-        if not 0.0 < self.refine_fraction < 1.0:
-            raise ValueError(
-                f"refine_fraction must be in (0, 1), got {self.refine_fraction}"
-            )
-        _soo_params(self)  # checks s_children
+        check_fraction(self.refine_fraction, "refine_fraction")
+        _soo_params(self)  # checks s_children and depth_schedule
         check_count(self.grid_resolution, "grid_resolution", 1)
         check_exploration(self.exploration, "exploration")
+        check_type(self.formats, tuple, "formats")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown format {fmt!r}")
@@ -298,8 +294,7 @@ def _grid_cell(config: RunConfig) -> tuple[tuple[str, int, str], float | str, st
         result = run_experiment(config)
     except Exception as exc:  # a failed cell must not sink the grid
         return key, "error", f"{type(exc).__name__}: {exc}"
-    ratio = result.ratio if result.ratio is not None else math.nan
-    return key, ratio, ""
+    return key, result.ratio, ""
 
 
 def grid_configs(
@@ -418,14 +413,14 @@ def compare_budgets(
     """
     if not budgets:
         raise ValueError("need at least one budget")
+    configs = [RunConfig(function, dim, budget=b, **fields) for b in budgets]
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
-    configs = [RunConfig(function, dim, budget=b, **fields) for b in budgets]
     ratios: list[float] = []
     best_values: list[float] = []
     for config in configs:
         result = run_algorithm(config)
-        ratios.append(result.ratio if result.ratio is not None else math.nan)
+        ratios.append(result.ratio)
         best_values.append(result.best_value)
     comparison = BudgetComparison(
         function=function,

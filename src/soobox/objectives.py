@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Callable
 
 import numpy as np
@@ -198,10 +199,11 @@ def check_count(
 ) -> None:
     """Raise error unless value is an integer (numbers.Integral) >= least.
 
-    Every count passed in, such as a budget, a number of arms or a
-    dimension, goes through this one check, so none is silently truncated
-    or rounded, and a bool is rejected, not read as 0 or 1.  A bad
-    dimension raises BadDimension (error=BadDimension)."""
+    Every count passed in (a budget, a number of arms, a dimension) goes
+    through this one check, so none is truncated or rounded, and a bool is
+    rejected, not read as 0 or 1; a bad dimension raises BadDimension.  The
+    sibling checkers below own the other argument rules: check_shift_seed,
+    check_fraction, check_exploration and check_type."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integer or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
@@ -212,6 +214,26 @@ def check_shift_seed(seed) -> None:
     integer is a valid shift seed: shift_from_seed masks it to 64 bits."""
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ValueError(f"shift_seed must be an integer, got {seed!r}")
+
+
+def check_fraction(value, name: str) -> None:
+    """Raise ValueError unless value is a real number, not a bool, in (0, 1)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
+
+
+def check_exploration(c, name: str = "c") -> None:
+    """Raise ValueError unless c is a real number, not a bool, in [0, max float]."""
+    real = isinstance(c, numbers.Real) and not isinstance(c, bool)
+    if not real or not 0.0 <= c <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite and >= 0, got {c!r}")
+
+
+def check_type(value, kind: type, name: str) -> None:
+    """Raise ValueError unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def checked_box(lower, upper) -> tuple[Array, Array]:
@@ -369,7 +391,7 @@ class Objective:
 
 def suite_f_star(name: str) -> float:
     """The known minimum of a suite function: BIAS_STEP x its 1-based index."""
-    if name not in SUITE_NAMES:
+    if not (isinstance(name, str) and name in SUITE_NAMES):
         raise UnknownFunction(
             f"unknown function {name!r}; suite = {', '.join(SUITE_NAMES)}"
         )
@@ -455,8 +477,9 @@ def suite_manifest(dim: int = 2, shift_seed: int = 0) -> list[dict]:
     """JSON-ready description of every suite instance at the given dim.
 
     Functions whose minimum dimension exceeds dim are skipped (only
-    rosenbrock at dim 1).
+    rosenbrock at dim 1).  A dim below 1 raises BadDimension.
     """
+    check_count(dim, "dim", 1, BadDimension)
     entries = []
     for name in SUITE_NAMES:
         if dim < _BASE[name][1]:

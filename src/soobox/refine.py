@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted
-from .objectives import Objective, check_count
-from .result import RunResult, TraceRecorder, value_key
+from .objectives import Objective, check_count, check_fraction
+from .result import RunResult, TraceRecorder
 
 Array = np.ndarray
 
@@ -214,8 +214,7 @@ def refine_budget_split(total_budget: int, fraction: float) -> tuple[int, int]:
     but never less than one evaluation.
     """
     check_count(total_budget, "budget", 1)
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    check_fraction(fraction, "fraction")
     reserve = math.ceil(fraction * total_budget)
     main = max(1, total_budget - reserve)
     reserve = total_budget - main
@@ -229,28 +228,23 @@ def refine_run(
 ) -> RunResult:
     """Polish a finished run's incumbent with the reserved budget share.
 
-    The reserve is ceil(fraction * objective.budget) evaluations, assumed
-    to have been held back from the earlier stage.  The refined result
-    keeps whichever incumbent is better (ties keep the original) and
-    concatenates the refinement trace onto the original one.  When the
-    reserve cannot seed a simplex (reserve < dim + 1, or the objective has
-    too little budget left) the original result is returned unchanged.
+    The reserve is refine_budget_split(objective.budget, fraction)'s,
+    assumed to have been held back from the earlier stage.  The refinement
+    trace, replayed into a recorder primed with the original incumbent,
+    extends the original trace, and the refined point is kept exactly when
+    that replay improved (ties keep the original).  When the reserve cannot
+    seed a simplex (reserve < dim + 1, or the objective has too little
+    budget left) the original result is returned unchanged.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    reserve = math.ceil(fraction * objective.budget)
+    _, reserve = refine_budget_split(objective.budget, fraction)
     nm_budget = min(reserve, objective.remaining)
     if nm_budget < objective.dim + 1:
         return result
     nm = nelder_mead(objective, result.best_point, nm_budget)
     trace = TraceRecorder(best_value=result.best_value)
-    trace.extend(nm.trace)
-    if value_key(nm.value) < value_key(result.best_value):
-        best_point = nm.point
-    else:
-        best_point = result.best_point
+    improved = trace.extend(nm.trace)
     return RunResult(
-        best_point=best_point,
+        best_point=nm.point if improved else result.best_point,
         trace=list(result.trace) + trace.entries,
         f_star=objective.optimum_value,
         split_ids=result.split_ids,

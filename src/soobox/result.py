@@ -61,11 +61,14 @@ class TraceRecorder:
         self.entries.append(self._best_raw)
         return improved
 
-    def extend(self, values) -> None:
-        """Record each value in turn."""
+    def extend(self, values) -> bool:
+        """Record each value in turn; True when any of them improved."""
         record = self.record
+        improved = False
         for value in values:
-            record(value)
+            if record(value):
+                improved = True
+        return improved
 
     @property
     def best_value(self) -> float:

@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .errors import BudgetExhausted, NotALeaf, ObjectiveDegenerate
-from .objectives import Objective, check_count, checked_box
+from .objectives import Objective, check_count, check_type, checked_box
 from .result import RunResult, TraceRecorder, value_key
 
 Array = np.ndarray
@@ -89,8 +89,7 @@ class DepthSchedule:
 
     def limit(self, evals: int) -> float:
         """Depth cap given the evaluation count at the start of a sweep."""
-        if evals < 1:
-            raise ValueError(f"evals must be >= 1, got {evals}")
+        check_count(evals, "evals", 1)
         if self.kind == "log32":
             return max(1, math.floor(math.log(evals) ** 1.5))
         if self.kind == "constant":
@@ -100,7 +99,9 @@ class DepthSchedule:
 
 def max_depth(evals: int, schedule: DepthSchedule | None = None) -> float:
     """Depth cap for a sweep starting after `evals` evaluations."""
-    return (schedule or DepthSchedule.log32()).limit(evals)
+    schedule = DepthSchedule.log32() if schedule is None else schedule
+    check_type(schedule, DepthSchedule, "schedule")
+    return schedule.limit(evals)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ class SooParams:
     """Structural knobs for the partition optimizer.
 
     s_children must be odd and >= 3 so the middle child can reuse the
-    parent's center evaluation.
+    parent's center evaluation; depth_schedule must be a DepthSchedule.
     """
 
     s_children: int = 3
@@ -123,6 +124,7 @@ class SooParams:
         check_count(self.s_children, "s_children", 3)
         if self.s_children % 2 == 0:
             raise ValueError(f"s_children must be odd, got {self.s_children}")
+        check_type(self.depth_schedule, DepthSchedule, "depth_schedule")
 
 
 class Cell:
@@ -232,7 +234,8 @@ class PartitionTree:
         eval_budget: int | None = None,
     ):
         lower, upper = checked_box(lower, upper)
-        self.params = params or SooParams()
+        self.params = SooParams() if params is None else params
+        check_type(self.params, SooParams, "params")
         self.objective = objective
         if eval_budget is not None:
             check_count(eval_budget, "eval_budget", 1)
@@ -464,7 +467,6 @@ def run_soo(
     point is final.  Raises ObjectiveDegenerate when every evaluated value
     was non-finite, so callers never receive a NaN incumbent.
     """
-    check_count(budget, "budget", 1)
     tree = PartitionTree(
         objective.lower, objective.upper, objective, params, eval_budget=budget
     )

@@ -194,6 +194,15 @@ class TestRunConfig:
             ("exploration", True),
             # as would a name outside the suite
             ("function", "nope"),
+            # a schedule that is not a DepthSchedule failed only once the
+            # root was metered
+            ("depth_schedule", "log32"),
+            # a non-number is a ValueError too, not a TypeError
+            ("exploration", "2"),
+            ("refine_fraction", "0.5"),
+            # a string is not a tuple of formats, nor None a bool
+            ("formats", "csv"),
+            ("cec_budget", None),
         ],
     )
     def test_invalid_field_raises_at_construction(self, name, value):
@@ -583,6 +592,11 @@ CLI_EXIT_CODES = [
     ),
     pytest.param(_RUN + ["--budget", "20"], 0, id="valid-run"),
     pytest.param(["--help"], 0, id="help"),
+    pytest.param(["--suite-manifest", "--dim", "0"], 1, id="manifest-dim-zero"),
+    # the manifest ignores --function
+    pytest.param(
+        ["--suite-manifest", "--function", "nope"], 0, id="manifest-ignores-function"
+    ),
 ]
 
 

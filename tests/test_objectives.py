@@ -24,6 +24,7 @@ from soobox import (
     bernoulli_arms,
     constant_arms,
     make_objective,
+    max_depth,
     nelder_mead,
     refine_budget_split,
     run_random_search,
@@ -592,6 +593,13 @@ BAD_COUNTS = [
     pytest.param(lambda obj: run_random_search(obj, 10, True), id="random-seed-bool"),
     pytest.param(lambda obj: ArmStats(True), id="n-arms-bool"),
     pytest.param(lambda obj: DepthSchedule("constant", True), id="constant-depth-bool"),
+    # a depth cap's evaluation count is a count too
+    pytest.param(lambda obj: max_depth(2.5), id="max-depth-evals"),
+    # not a count, but refused at construction all the same
+    pytest.param(
+        lambda obj: run_soo(obj, 20, SooParams(depth_schedule="log32")),
+        id="soo-params-schedule-string",
+    ),
 ]
 
 
@@ -688,6 +696,11 @@ class TestManifest:
             assert entry["f_star"] == 100.0 * entry["index"]
             assert len(entry["shift"]) == 10
             assert entry["lower"] == [-5.0] * 10
+
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, True])
+    def test_manifest_bad_dim_rejected(self, dim):
+        with pytest.raises(BadDimension):
+            suite_manifest(dim)
 
     def test_manifest_dim_one_drops_rosenbrock(self):
         names = [entry["name"] for entry in suite_manifest(dim=1)]

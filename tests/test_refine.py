@@ -96,6 +96,18 @@ class TestTraceRecorder:
         assert [repr(v) for v in replayed.entries] == [repr(v) for v in raw.entries]
         assert repr(replayed.best_value) == repr(raw.best_value)
 
+    @given(
+        primed=st.none() | _SPECIAL_FLOATS,
+        values=st.lists(_SPECIAL_FLOATS, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extend_reports_whether_any_value_improved(self, primed, values):
+        one_by_one = TraceRecorder(best_value=primed)
+        improved = [one_by_one.record(v) for v in values]
+        extended = TraceRecorder(best_value=primed)
+        assert extended.extend(values) is any(improved)
+        assert [repr(v) for v in extended.entries] == [repr(v) for v in one_by_one.entries]
+
 
 # =============================================================================
 # Core simplex search
@@ -228,6 +240,19 @@ class TestBudgetSplit:
         assert main == 1
         assert reserve == 0
 
+    @given(
+        budget=st.integers(min_value=1, max_value=10**6),
+        fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reserve_is_the_ceiling_short_of_the_whole_budget(self, budget, fraction):
+        # refine_run reads its reserve from here: once the global stage has
+        # spent anything, min(reserve, remaining) equals the old
+        # min(ceil(fraction * budget), remaining)
+        main, reserve = refine_budget_split(budget, fraction)
+        assert reserve == min(math.ceil(fraction * budget), budget - 1)
+        assert main + reserve == budget
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             refine_budget_split(100, 0.0)
@@ -284,6 +309,20 @@ class TestRefineRun:
         result = run_soo(obj, 50)
         with pytest.raises(ValueError):
             refine_run(result, obj, 1.5)
+
+    @pytest.mark.parametrize("fraction", ["0.5", True, math.nan, np.float64(1.0)])
+    def test_non_fraction_rejected_before_any_evaluation(self, fraction):
+        result = run_soo(make_objective("sphere", 2, budget=60), 50)
+        obj = make_objective("sphere", 2, budget=60)
+        with pytest.raises(ValueError, match="fraction"):
+            refine_run(result, obj, fraction)
+        assert obj.meter == 0
+
+    def test_budget_zero_objective_rejected(self):
+        # the reserve comes from refine_budget_split, which needs budget >= 1
+        result = run_soo(make_objective("sphere", 2, budget=60), 50)
+        with pytest.raises(ValueError, match="budget"):
+            refine_run(result, make_objective("sphere", 2, budget=0), 0.5)
 
     def test_skipped_when_reserve_cannot_seed_simplex(self):
         obj = make_objective("sphere", 4, budget=100)
