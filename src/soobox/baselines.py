@@ -82,8 +82,6 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     -inf, as after non-finite objective values) arm 0 is chosen.
     """
     check_exploration(c)
-    if stats.t < 1:
-        raise UnpulledArm("no rounds have been played")
     pulls = stats.pulls
     if np.count_nonzero(pulls) < len(pulls):
         raise UnpulledArm(f"arm {int(pulls.argmin())} has no observations")
@@ -179,16 +177,16 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     stream as k single-point draws, and each block goes through the
     metered, all-or-nothing Objective.evaluate_batch.  If an evaluation
     raises, the meter therefore stays at the start of its block; no
-    value from that block was handed back.  Stops early only if the
-    objective's own budget runs dry first.
+    value from that block was handed back.  The run's cap, fixed at the
+    start, is the lesser of budget and the objective's remaining budget.
     """
-    check_count(budget, "budget", 1)
+    budget = min(check_count(budget, "budget", 1), objective.remaining)
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     trace = TraceRecorder()
     best_point: Array | None = None
-    while len(trace.entries) < budget and objective.remaining >= 1:
-        k = min(RANDOM_BLOCK, budget - len(trace.entries), objective.remaining)
+    while len(trace.entries) < budget:
+        k = min(RANDOM_BLOCK, budget - len(trace.entries))
         points = rng.uniform(objective.lower, objective.upper, size=(k, objective.dim))
         for row, value in enumerate(objective.evaluate_batch(points)):
             if trace.record(value):
@@ -227,9 +225,10 @@ def run_ucb_grid(
     The box is cut into a lattice (see grid_divisions); each lattice cell's
     center is an arm.  Pulls re-evaluate the center and count against the
     budget, keeping the comparison with the other optimizers honest even
-    though the objective is deterministic.
+    though the objective is deterministic.  The run's cap, fixed at the
+    start, is the lesser of budget and the objective's remaining budget.
     """
-    check_count(budget, "budget", 1)
+    budget = min(check_count(budget, "budget", 1), objective.remaining)
     check_exploration(c)
     divisions = grid_divisions(objective.dim, resolution)
     axes = []
@@ -241,7 +240,7 @@ def run_ucb_grid(
     stats = ArmStats(len(centers))
     trace = TraceRecorder()
     best_point: Array | None = None
-    while stats.t < budget and objective.remaining >= 1:
+    while stats.t < budget:
         arm = next_arm(stats, c)
         value = objective.evaluate(centers[arm])
         stats.update(arm, -value)

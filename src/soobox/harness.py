@@ -24,6 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .baselines import (
@@ -81,9 +82,10 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        check_count(self.dim, "dim", 1)
-        check_count(self.seed, "seed", 0)
-        check_shift_seed(self.shift_seed)
+        put = partial(object.__setattr__, self)  # frozen: store checked values
+        put("dim", check_count(self.dim, "dim", 1))
+        put("seed", check_count(self.seed, "seed", 0))
+        put("shift_seed", check_shift_seed(self.shift_seed))
         suite_f_star(self.function)  # UnknownFunction, a ValueError
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
@@ -93,11 +95,11 @@ class RunConfig:
         if self.cec_budget == (self.budget is not None):
             raise ValueError("exactly one of budget and cec_budget is required")
         if self.budget is not None:
-            check_count(self.budget, "budget", 1)
-        check_fraction(self.refine_fraction, "refine_fraction")
-        _soo_params(self)  # checks s_children and depth_schedule
-        check_count(self.grid_resolution, "grid_resolution", 1)
-        check_exploration(self.exploration, "exploration")
+            put("budget", check_count(self.budget, "budget", 1))
+        put("refine_fraction", check_fraction(self.refine_fraction, "refine_fraction"))
+        put("s_children", _soo_params(self).s_children)  # checks depth_schedule too
+        put("grid_resolution", check_count(self.grid_resolution, "grid_resolution", 1))
+        put("exploration", check_exploration(self.exploration, "exploration"))
         check_type(self.formats, tuple, "formats")
         for fmt in self.formats:
             if fmt not in FORMATS:
@@ -153,6 +155,7 @@ def _atomic_write(path: Path, text: str) -> None:
     # Each writer gets its own temp name, so writers of one path never
     # share a temp file.  Exclusive mode refuses to reuse an existing
     # file and, unlike mkstemp's 0600, keeps the default permissions.
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     handle = open(tmp, "x")
     try:
@@ -237,7 +240,6 @@ def run_experiment(config: RunConfig) -> RunResult:
     wall = time.perf_counter() - start
     if config.output_dir is not None:
         out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         f_star = _suite_f_star(config)
         if "csv" in config.formats:
             _atomic_write(out / f"{config.stem}.csv", trace_csv_text(result, f_star))
@@ -360,9 +362,7 @@ def run_grid(
     )
     output_dir = configs[0].output_dir
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "summary.csv", summary.to_csv_text())
+        _atomic_write(Path(output_dir) / "summary.csv", summary.to_csv_text())
     return summary
 
 
@@ -424,15 +424,14 @@ def compare_budgets(
         best_values.append(result.best_value)
     comparison = BudgetComparison(
         function=function,
-        dim=dim,
-        budgets=list(budgets),
+        dim=configs[0].dim,
+        budgets=[config.budget for config in configs],
         ratios=ratios,
         best_values=best_values,
     )
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _atomic_write(
-            out / f"budgets_{function}_{dim}.json", comparison.to_json_text()
+            Path(output_dir) / f"budgets_{function}_{comparison.dim}.json",
+            comparison.to_json_text(),
         )
     return comparison

@@ -79,9 +79,8 @@ def shift_from_seed(seed: int, dim: int) -> Array:
     recurrence is spelled out here instead of delegating to a library RNG
     so the mapping can never drift between platforms or library versions.
     """
-    check_shift_seed(seed)
+    state = check_shift_seed(seed) & _LCG_MASK
     check_count(dim, "dim", 1, BadDimension)
-    state = int(seed) & _LCG_MASK
     out = np.empty(dim)
     for j in range(dim):
         state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
@@ -196,38 +195,43 @@ SUITE_NAMES: tuple[str, ...] = tuple(_BASE)
 
 def check_count(
     value, name: str, least: int, error: type[Exception] = ValueError
-) -> None:
+) -> int:
     """Raise error unless value is an integer (numbers.Integral) >= least.
 
     Every count passed in (a budget, a number of arms, a dimension) goes
     through this one check, so none is truncated or rounded, and a bool is
     rejected, not read as 0 or 1; a bad dimension raises BadDimension.  The
     sibling checkers below own the other argument rules: check_shift_seed,
-    check_fraction, check_exploration and check_type."""
+    check_fraction, check_exploration and check_type.  All but check_type
+    return the plain int or float they accepted, never a numpy scalar."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integer or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
-def check_shift_seed(seed) -> None:
+def check_shift_seed(seed) -> int:
     """Raise ValueError unless seed is an integer other than a bool.  Any
     integer is a valid shift seed: shift_from_seed masks it to 64 bits."""
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ValueError(f"shift_seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
-def check_fraction(value, name: str) -> None:
+def check_fraction(value, name: str) -> float:
     """Raise ValueError unless value is a real number, not a bool, in (0, 1)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not real or not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
+    return float(value)
 
 
-def check_exploration(c, name: str = "c") -> None:
+def check_exploration(c, name: str = "c") -> float:
     """Raise ValueError unless c is a real number, not a bool, in [0, max float]."""
     real = isinstance(c, numbers.Real) and not isinstance(c, bool)
     if not real or not 0.0 <= c <= sys.float_info.max:
         raise ValueError(f"{name} must be finite and >= 0, got {c!r}")
+    return float(c)
 
 
 def check_type(value, kind: type, name: str) -> None:
@@ -304,11 +308,10 @@ class Objective:
         optimum_value: float | None = None,
     ):
         lower, upper = checked_box(lower, upper)
-        check_count(budget, "budget", 0)
+        self.budget = check_count(budget, "budget", 0)
         self._fn = fn if vectorized else _row_loop(fn)
         self.lower = lower
         self.upper = upper
-        self.budget = int(budget)
         self.meter = 0
         # bounds tiled to the flattened size of one point and of the most
         # recent block; the box is fixed at construction

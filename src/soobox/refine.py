@@ -91,10 +91,11 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
 
     max_evals must cover the initial simplex (dim + 1 points).  The best
     point ever evaluated is returned, so the result value never exceeds
-    f(x0).  If the objective's own budget runs dry first, the search stops
-    with budget_exhausted set and the best point so far.  x0 is the first
-    point evaluated, so a start outside the box raises OutOfBounds from
-    the objective's own bounds check, with nothing metered.
+    f(x0).  The cap is fixed at the start: max_evals, or the objective's
+    remaining budget if smaller; a search stopped by a smaller cap has
+    budget_exhausted set.  x0 is the first point evaluated, so a start
+    outside the box raises OutOfBounds from the objective's own bounds
+    check, with nothing metered.
     """
     lower = objective.lower
     upper = objective.upper
@@ -102,7 +103,7 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != lower.shape:
         raise ValueError(f"expected a start point of dimension {dim}")
-    check_count(max_evals, "max_evals", dim + 1)
+    cap = min(check_count(max_evals, "max_evals", dim + 1), objective.remaining)
 
     # this search's best-so-far: one entry per evaluation it made
     trace = TraceRecorder()
@@ -111,13 +112,10 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
 
     def evaluate(x: Array) -> float:
         nonlocal exhausted, best_point
-        if len(trace.entries) >= max_evals:
+        if len(trace.entries) >= cap:
+            exhausted = cap < max_evals
             raise _Stop
-        try:
-            v = objective.evaluate(x)
-        except BudgetExhausted:
-            exhausted = True
-            raise _Stop from None
+        v = objective.evaluate(x)
         if trace.record(v):
             best_point = x.copy()
         return v
@@ -213,8 +211,8 @@ def refine_budget_split(total_budget: int, fraction: float) -> tuple[int, int]:
     The reserve is ceil(fraction * total); the global stage keeps the rest
     but never less than one evaluation.
     """
-    check_count(total_budget, "budget", 1)
-    check_fraction(fraction, "fraction")
+    total_budget = check_count(total_budget, "budget", 1)
+    fraction = check_fraction(fraction, "fraction")
     reserve = math.ceil(fraction * total_budget)
     main = max(1, total_budget - reserve)
     reserve = total_budget - main

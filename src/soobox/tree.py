@@ -68,7 +68,8 @@ class DepthSchedule:
         if self.kind not in ("log32", "constant", "unbounded"):
             raise ValueError(f"unknown depth schedule kind {self.kind!r}")
         if self.kind == "constant":
-            check_count(self.value, "constant depth cap", 0)
+            cap = check_count(self.value, "constant depth cap", 0)
+            object.__setattr__(self, "value", cap)
         elif self.value is not None:
             raise ValueError(f"{self.kind} schedule takes no value")
 
@@ -78,10 +79,7 @@ class DepthSchedule:
 
     @staticmethod
     def constant(depth: int) -> "DepthSchedule":
-        # checked before int() so 2.7 is rejected, not truncated; the int
-        # keeps a numpy integer out of the JSON config echo
-        check_count(depth, "constant depth cap", 0)
-        return DepthSchedule("constant", int(depth))
+        return DepthSchedule("constant", depth)
 
     @staticmethod
     def unbounded() -> "DepthSchedule":
@@ -121,7 +119,8 @@ class SooParams:
     depth_schedule: DepthSchedule = field(default_factory=DepthSchedule.log32)
 
     def __post_init__(self):
-        check_count(self.s_children, "s_children", 3)
+        s = check_count(self.s_children, "s_children", 3)
+        object.__setattr__(self, "s_children", s)
         if self.s_children % 2 == 0:
             raise ValueError(f"s_children must be odd, got {self.s_children}")
         check_type(self.depth_schedule, DepthSchedule, "depth_schedule")
@@ -221,8 +220,10 @@ class PartitionTree:
 
     Nothing is counted twice: the best-so-far trace is the run's one
     evaluation ledger, so eval_count is its length; max_leaf_depth is the
-    number of depth heaps minus one; and incumbent() is the first cell
-    holding the trace's best value.
+    number of depth heaps minus one; incumbent() is the first cell
+    holding the trace's best value; and eval_budget, the run's cap, is
+    fixed before the root is paid for (the objective's remaining budget,
+    or eval_budget if smaller), so remaining is eval_budget - eval_count.
     """
 
     def __init__(
@@ -237,15 +238,16 @@ class PartitionTree:
         self.params = SooParams() if params is None else params
         check_type(self.params, SooParams, "params")
         self.objective = objective
+        self.eval_budget = objective.remaining
         if eval_budget is not None:
-            check_count(eval_budget, "eval_budget", 1)
-        self.eval_budget = eval_budget
+            cap = check_count(eval_budget, "eval_budget", 1)
+            self.eval_budget = min(cap, self.eval_budget)
         self.dim = lower.size
         self.split_log: list[int] = []
         self.trace = TraceRecorder()
         self._mid = (self.params.s_children - 1) // 2
 
-        # eval_budget >= 1 pays for the root; the objective meters its own
+        # an objective with nothing left raises here, from its own meter
         center = (lower + upper) / 2.0
         value = self.objective.evaluate(center)
         self.trace.record(value)
@@ -270,10 +272,7 @@ class PartitionTree:
 
     @property
     def remaining(self) -> int:
-        left = self.objective.remaining
-        if self.eval_budget is not None:
-            left = min(left, self.eval_budget - self.eval_count)
-        return left
+        return self.eval_budget - self.eval_count
 
     # -- structure ----------------------------------------------------------
 
@@ -325,9 +324,9 @@ class PartitionTree:
 
         Costs exactly S - 1 evaluations, taken all-or-nothing: the fresh
         centers are evaluated as one metered batch before the tree changes,
-        so when the run budget or the objective's meter cannot cover a full
-        split (BudgetExhausted) or the objective raises, the tree, its trace
-        and the meter are left untouched.  Returns the child ids in order.
+        so when the run's cap cannot cover a full split (BudgetExhausted)
+        or the objective raises, the tree, its trace and the meter are left
+        untouched.  Returns the child ids in order.
         """
         n = len(self._value)
         if not 0 <= leaf_id < n:
@@ -335,8 +334,7 @@ class PartitionTree:
         if not self._is_leaf[leaf_id]:
             raise NotALeaf(f"cell {leaf_id} was already split")
         s = self.params.s_children
-        budget = self.eval_budget
-        if budget is not None and len(self.trace.entries) + s - 1 > budget:
+        if len(self.trace.entries) + s - 1 > self.eval_budget:
             raise BudgetExhausted(f"need {s - 1} evaluations, {self.remaining} left")
 
         # Along the split dimension the shared interior edges lo + k*step
@@ -382,10 +380,10 @@ class PartitionTree:
         its value is strictly below every value split earlier in this
         sweep.  The pass stops at the depth cap, which is fixed when the
         sweep starts: the lesser of the current deepest leaf and the
-        schedule's limit for the current evaluation count.  The budget is
-        also read once, at the start: if it runs out mid-sweep the splits
-        already made stand and the partial list is returned; a sweep that
-        cannot afford even one split raises BudgetExhausted.
+        schedule's limit for the current evaluation count.  The sweep stops
+        at the first split it would make but cannot pay for under the
+        run's cap, and returns the splits already made: [] when it could
+        afford none.  It raises no BudgetExhausted of its own.
         """
         cap = min(
             self.max_leaf_depth,
@@ -402,9 +400,7 @@ class PartitionTree:
                 heappop(heap)
             if heap and heap[0][0] < v_min:
                 if not affordable:
-                    if split_ids:
-                        return split_ids
-                    raise BudgetExhausted(f"only {self.remaining} evaluations left")
+                    return split_ids
                 v_min, cid = heap[0]
                 self.split_leaf(cid)
                 affordable -= 1
@@ -460,23 +456,19 @@ def run_soo(
     budget: int,
     params: SooParams | None = None,
 ) -> RunResult:
-    """Run sweeps until the budget is spent or the tree stagnates.
+    """Run sweeps until one makes no split.
 
-    Stagnation means a sweep returned no splits while budget remained,
-    which can only happen under a finite depth cap; the incumbent at that
-    point is final.  Raises ObjectiveDegenerate when every evaluated value
-    was non-finite, so callers never receive a NaN incumbent.
+    A sweep makes no split when the run's cap, the lesser of budget and
+    the objective's remaining budget, cannot pay for one (tree.remaining
+    < S - 1), or when the tree stagnates, which only a finite depth cap
+    allows; the incumbent then is final.  Raises ObjectiveDegenerate when
+    every evaluated value was non-finite, so no incumbent is NaN.
     """
     tree = PartitionTree(
         objective.lower, objective.upper, objective, params, eval_budget=budget
     )
-    while True:
-        try:
-            split_ids = tree.sweep()
-        except BudgetExhausted:
-            break
-        if not split_ids:
-            break
+    while tree.sweep():
+        pass
 
     if not math.isfinite(tree.trace.best_value):
         raise ObjectiveDegenerate("every evaluated point was non-finite")

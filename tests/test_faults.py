@@ -104,7 +104,8 @@ def ucb_grid(objective, budget, data):
     return run_ucb_grid(objective, budget, resolution)
 
 
-def check_outcome(run, faulty, data):
+def check_outcome(run, faulty, data, spends_all=False):
+    """spends_all: the run stops only at its cap, min(budget, objective's)."""
     objective, budget, fault = faulty
     try:
         result = run(objective, budget, data)
@@ -116,6 +117,8 @@ def check_outcome(run, faulty, data):
     assert not (fault == "raise" and objective.fired)
     assert objective.meter == objective.delivered == result.evals_used
     assert result.evals_used == len(result.trace) <= min(budget, objective.budget)
+    if spends_all:
+        assert result.evals_used == min(budget, objective.budget)
     result.check()
 
 
@@ -134,10 +137,10 @@ def test_soo_refine_under_faults(faulty, data):
 @given(faulty=faulty_runs(), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_random_search_under_faults(faulty, data):
-    check_outcome(random_search, faulty, data)
+    check_outcome(random_search, faulty, data, spends_all=True)
 
 
 @given(faulty=faulty_runs(), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_ucb_grid_under_faults(faulty, data):
-    check_outcome(ucb_grid, faulty, data)
+    check_outcome(ucb_grid, faulty, data, spends_all=True)

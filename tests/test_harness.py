@@ -146,6 +146,31 @@ class TestRunConfig:
             config = RunConfig(function="sphere", dim=dim, cec_budget=True)
             assert config.resolved_budget == expected
 
+    def test_numpy_scalars_stored_as_python_numbers(self, tmp_path):
+        # each field keeps its checker's plain value, so the JSON echo
+        # serializes it; an integer exploration is echoed as a float
+        config = RunConfig(
+            "sphere", np.int64(2), budget=np.int64(10), seed=np.int64(1),
+            shift_seed=np.uint64(3), refine_fraction=np.float32(0.05),
+            s_children=np.int64(5), grid_resolution=np.int32(2),
+            exploration=np.int64(2),
+            depth_schedule=DepthSchedule("constant", np.int64(4)),
+            output_dir=tmp_path,
+        )
+        kinds = {
+            "dim": int, "budget": int, "seed": int, "shift_seed": int,
+            "refine_fraction": float, "s_children": int,
+            "grid_resolution": int, "exploration": float,
+        }
+        for name, kind in kinds.items():
+            assert type(getattr(config, name)) is kind, name
+        run_experiment(config)
+        echo = json.loads((tmp_path / "sphere_2_soo_10.json").read_text())["config"]
+        assert echo["dim"] == 2
+        assert echo["refine_fraction"] == float(np.float32(0.05))
+        assert echo["exploration"] == 2.0
+        assert echo["depth_schedule"] == {"kind": "constant", "value": 4}
+
     def test_explicit_budget_passes_through(self):
         config = RunConfig(function="sphere", dim=2, budget=777)
         assert config.resolved_budget == 777
@@ -281,6 +306,14 @@ class TestRunExperiment:
         assert not list(tmp_path.glob("*.csv"))
         assert list(tmp_path.glob("*.json"))
 
+    def test_no_formats_makes_no_directory(self, tmp_path):
+        config = RunConfig(
+            function="sphere", dim=2, budget=50, output_dir=tmp_path / "out",
+            formats=(),
+        )
+        run_experiment(config)
+        assert not list(tmp_path.iterdir())
+
     def test_no_output_dir_writes_nothing(self, tmp_path):
         config = RunConfig(function="sphere", dim=2, budget=50, algorithm="soo")
         run_experiment(config)
@@ -306,6 +339,22 @@ class TestAtomicWrite:
             harness._atomic_write(target, "new\n")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_writers_make_missing_directories(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        harness._atomic_write(out / "direct" / "out.txt", "x\n")
+        run_experiment(RunConfig("sphere", 2, budget=20, output_dir=out / "run"))
+        run_grid(["sphere"], [2], ["soo"], budget=20, output_dir=out / "grid")
+        compare_budgets("sphere", 2, [20], output_dir=out / "budgets")
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+            "budgets/budgets_sphere_2.json",
+            "direct/out.txt",
+            "grid/sphere_2_soo_20.csv",
+            "grid/sphere_2_soo_20.json",
+            "grid/summary.csv",
+            "run/sphere_2_soo_20.csv",
+            "run/sphere_2_soo_20.json",
+        ]
 
     def test_new_file_gets_default_permissions(self, tmp_path):
         probe = tmp_path / "probe"
@@ -520,6 +569,15 @@ class TestCompareBudgets:
                 "sphere", 2, [100, 200], grid_resolution=0, output_dir=tmp_path
             )
         assert not list(tmp_path.iterdir())
+
+    def test_numpy_scalars_reported_as_python_numbers(self, tmp_path):
+        report = compare_budgets(
+            "sphere", np.int64(2), [np.int64(20), 40], output_dir=tmp_path
+        )
+        assert type(report.dim) is int
+        assert [type(b) for b in report.budgets] == [int, int]
+        payload = json.loads((tmp_path / "budgets_sphere_2.json").read_text())
+        assert (payload["dim"], payload["budgets"]) == (2, [20, 40])
 
     def test_report_written_as_json(self, tmp_path):
         compare_budgets("rastrigin", 2, [200, 400], output_dir=tmp_path)

@@ -181,6 +181,14 @@ class TestNelderMead:
         assert result.evals_used == 10
         assert math.isfinite(result.value)
 
+    @pytest.mark.parametrize("budget, exhausted", [(30, False), (29, True)])
+    def test_cap_is_the_lesser_of_max_evals_and_the_objective(self, budget, exhausted):
+        # an objective holding exactly max_evals is not a short objective
+        obj = make_objective("rastrigin", 5, budget=budget)
+        result = nelder_mead(obj, [1.0] * 5, max_evals=30)
+        assert result.budget_exhausted is exhausted
+        assert obj.meter == result.evals_used == budget
+
     def test_no_evaluations_possible_raises(self):
         obj = make_objective("sphere", 2, budget=0)
         with pytest.raises(BudgetExhausted):
@@ -252,6 +260,14 @@ class TestBudgetSplit:
         main, reserve = refine_budget_split(budget, fraction)
         assert reserve == min(math.ceil(fraction * budget), budget - 1)
         assert main + reserve == budget
+
+    def test_numpy_arguments_computed_as_python_numbers(self):
+        # float32(0.05) is a shade above 0.05, so its double reserves 101
+        fraction = np.float32(0.05)
+        assert refine_budget_split(2000, fraction) == (1899, 101)
+        assert refine_budget_split(2000, float(fraction)) == (1899, 101)
+        main, reserve = refine_budget_split(np.int64(2000), 0.05)
+        assert (type(main), type(reserve)) == (int, int)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

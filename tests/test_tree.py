@@ -275,6 +275,25 @@ class TestTreeValidation:
         assert tree.eval_count == 1
         assert obj.meter == 1
 
+    @pytest.mark.parametrize(
+        "objective_budget, eval_budget", [(100, 4), (4, None), (4, 50)]
+    )
+    def test_run_cap_blocks_split_all_or_nothing(self, objective_budget, eval_budget):
+        # the cap is the lesser of the two budgets, fixed at construction;
+        # after one split 1 evaluation is left, short of a split's 2
+        obj = linear_objective(budget=objective_budget)
+        tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=eval_budget)
+        split_leaf(tree, 0)
+        assert tree.eval_budget == 4
+        assert tree.remaining == 1
+        trace = list(tree.trace.entries)
+        with pytest.raises(BudgetExhausted):
+            split_leaf(tree, 1)
+        assert len(tree.cells) == 4
+        assert all(cell.is_leaf for cell in tree.cells[1:])
+        assert tree.trace.entries == trace
+        assert obj.meter == 3
+
 
 # =============================================================================
 # Depth schedules
@@ -314,6 +333,12 @@ class TestDepthSchedules:
 
     def test_unbounded_schedule(self):
         assert max_depth(5, DepthSchedule.unbounded()) == math.inf
+
+    def test_numpy_counts_stored_as_ints(self):
+        schedule = DepthSchedule("constant", np.int64(4))
+        assert type(schedule.value) is int
+        assert DepthSchedule.constant(np.int64(4)) == schedule
+        assert type(SooParams(s_children=np.int64(5)).s_children) is int
 
     def test_bad_schedules_rejected(self):
         with pytest.raises(ValueError):
@@ -414,8 +439,9 @@ class TestSweep:
         sweep(tree)
         split_ids = sweep(tree)  # affords exactly one split, then dry
         assert len(split_ids) == 1
-        with pytest.raises(BudgetExhausted):
-            sweep(tree)
+        meter = obj.meter
+        assert sweep(tree) == []  # cannot pay for a split: returns, no raise
+        assert obj.meter == meter
 
     def test_mid_sweep_exhaustion_keeps_earlier_splits(self):
         # Budget 7 on f(x) = x: the third sweep splits at depth 1 (using
