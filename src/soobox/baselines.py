@@ -16,11 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExhausted, UnpulledArm
-from .objectives import Objective, check_count, check_exploration
+from .errors import UnpulledArm
+from .objectives import Objective, check_count, check_exploration, check_type
 from .result import RunResult, TraceRecorder
-
-Array = np.ndarray
 
 DEFAULT_EXPLORATION = 2.0
 DEFAULT_GRID_RESOLUTION = 3
@@ -177,23 +175,19 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     stream as k single-point draws, and each block goes through the
     metered, all-or-nothing Objective.evaluate_batch.  If an evaluation
     raises, the meter therefore stays at the start of its block; no
-    value from that block was handed back.  The run's cap, fixed at the
-    start, is the lesser of budget and the objective's remaining budget.
+    value from that block was handed back.  The run's cap is
+    Objective.cap of budget.
     """
-    budget = min(check_count(budget, "budget", 1), objective.remaining)
+    check_type(objective, Objective, "objective")
     check_count(seed, "seed", 0)
+    budget = objective.cap(check_count(budget, "budget", 1))
     rng = np.random.default_rng(seed)
     trace = TraceRecorder()
-    best_point: Array | None = None
     while len(trace.entries) < budget:
         k = min(RANDOM_BLOCK, budget - len(trace.entries))
         points = rng.uniform(objective.lower, objective.upper, size=(k, objective.dim))
-        for row, value in enumerate(objective.evaluate_batch(points)):
-            if trace.record(value):
-                best_point = points[row]
-    if best_point is None:
-        raise BudgetExhausted("objective had no evaluations remaining")
-    return RunResult(best_point.copy(), trace.entries, f_star=objective.optimum_value)
+        trace.extend(objective.evaluate_batch(points), points)
+    return RunResult(trace.incumbent.copy(), trace.entries, objective.optimum_value)
 
 
 def grid_divisions(dim: int, resolution: int) -> list[int]:
@@ -225,12 +219,13 @@ def run_ucb_grid(
     The box is cut into a lattice (see grid_divisions); each lattice cell's
     center is an arm.  Pulls re-evaluate the center and count against the
     budget, keeping the comparison with the other optimizers honest even
-    though the objective is deterministic.  The run's cap, fixed at the
-    start, is the lesser of budget and the objective's remaining budget.
+    though the objective is deterministic.  The run's cap is Objective.cap
+    of budget.
     """
-    budget = min(check_count(budget, "budget", 1), objective.remaining)
+    check_type(objective, Objective, "objective")
     check_exploration(c)
     divisions = grid_divisions(objective.dim, resolution)
+    budget = objective.cap(check_count(budget, "budget", 1))
     axes = []
     for j, m in enumerate(divisions):
         width = (objective.upper[j] - objective.lower[j]) / m
@@ -239,13 +234,9 @@ def run_ucb_grid(
 
     stats = ArmStats(len(centers))
     trace = TraceRecorder()
-    best_point: Array | None = None
     while stats.t < budget:
         arm = next_arm(stats, c)
         value = objective.evaluate(centers[arm])
         stats.update(arm, -value)
-        if trace.record(value):
-            best_point = centers[arm]
-    if best_point is None:
-        raise BudgetExhausted("objective had no evaluations remaining")
-    return RunResult(best_point.copy(), trace.entries, f_star=objective.optimum_value)
+        trace.record(value, centers[arm])
+    return RunResult(trace.incumbent.copy(), trace.entries, objective.optimum_value)

@@ -9,8 +9,8 @@ class SooboxError(Exception):
     """Base class for all deliberate library errors."""
 
 
-class InvalidBounds(SooboxError):
-    """Search-space bounds are reversed, degenerate, or non-finite."""
+class InvalidBounds(SooboxError, ValueError):
+    """Search-space bounds are reversed, degenerate, or non-finite (a bad argument)."""
 
 
 class BudgetExhausted(SooboxError):

@@ -240,11 +240,21 @@ def check_type(value, kind: type, name: str) -> None:
         raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
+def as_floats(value, name: str, error: type[Exception] = ValueError) -> Array:
+    """value as a float array, the one conversion of coordinates passed in;
+    raises error where numpy cannot convert it (a non-number, a ragged
+    list, an integer beyond the float range)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be numbers, got {value!r}") from exc
+
+
 def checked_box(lower, upper) -> tuple[Array, Array]:
     """The box's corners as float arrays; raises InvalidBounds unless they
     are matching non-empty 1-D vectors, finite, with lower < upper."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower = as_floats(lower, "lower", InvalidBounds)
+    upper = as_floats(upper, "upper", InvalidBounds)
     if lower.ndim != 1 or upper.shape != lower.shape or lower.size < 1:
         raise InvalidBounds("bounds must be matching 1-D vectors")
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
@@ -330,6 +340,14 @@ class Objective:
     def remaining(self) -> int:
         return self.budget - self.meter
 
+    def cap(self, budget: int | None) -> int:
+        """A run's evaluation cap, fixed when it starts: the lesser of budget
+        (a count the caller checked; None for no limit) and remaining.
+        Raises BudgetExhausted, with nothing metered, when nothing is left."""
+        if self.remaining == 0:
+            raise BudgetExhausted(f"no evaluations left of a budget of {self.budget}")
+        return self.remaining if budget is None else min(budget, self.remaining)
+
     def _require_inside(self, points: Array) -> None:
         # The flattened block is compared with the bounds tiled to its
         # size, which is cheaper than broadcasting the bounds over rows.
@@ -367,7 +385,7 @@ class Objective:
         The meter advances only when the function returns; if it raises,
         the exception propagates and nothing is metered.
         """
-        x = np.asarray(x, dtype=float)
+        x = as_floats(x, "point")
         if x.shape != self.lower.shape:
             raise ValueError(f"expected a point of dimension {self.dim}")
         return self._metered(x[np.newaxis])[0]
@@ -382,7 +400,7 @@ class Objective:
         returned m values; if it raises, the exception propagates and
         nothing is metered.
         """
-        points = np.asarray(points, dtype=float)
+        points = as_floats(points, "points")
         if points.ndim != 2 or points.shape[1] != self.lower.size:
             raise ValueError(f"expected an (m, {self.dim}) block of points")
         return self._metered(points)
@@ -422,7 +440,7 @@ def make_objective(
     if shift is None:
         shift_vec = shift_from_seed(shift_seed, dim)
     else:
-        shift_vec = np.array(shift, dtype=float)
+        shift_vec = as_floats(shift, "shift").copy()
         if shift_vec.ndim == 0:
             shift_vec = np.full(dim, float(shift_vec))
         elif shift_vec.shape != (dim,):
@@ -454,6 +472,7 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
     increasing transforms of the values.  The known optimum value maps
     through g; the argmin is unchanged.
     """
+    check_type(objective, Objective, "objective")
     base_fn = objective._fn
 
     def fn(points: Array) -> list[float]:

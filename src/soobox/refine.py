@@ -20,12 +20,12 @@ recorder primed with that incumbent, extends the global stage's trace.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted
-from .objectives import Objective, check_count, check_fraction
+from .objectives import Objective, as_floats, check_count, check_fraction, check_type
 from .result import RunResult, TraceRecorder
 
 Array = np.ndarray
@@ -91,33 +91,31 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
 
     max_evals must cover the initial simplex (dim + 1 points).  The best
     point ever evaluated is returned, so the result value never exceeds
-    f(x0).  The cap is fixed at the start: max_evals, or the objective's
-    remaining budget if smaller; a search stopped by a smaller cap has
-    budget_exhausted set.  x0 is the first point evaluated, so a start
-    outside the box raises OutOfBounds from the objective's own bounds
-    check, with nothing metered.
+    f(x0).  The cap is Objective.cap of max_evals; a search stopped by a
+    cap below max_evals has budget_exhausted set.  x0 is the first point
+    evaluated, so a start outside the box raises OutOfBounds from the
+    objective's own bounds check, with nothing metered.
     """
+    check_type(objective, Objective, "objective")
     lower = objective.lower
     upper = objective.upper
     dim = objective.dim
-    x0 = np.asarray(x0, dtype=float)
+    x0 = as_floats(x0, "x0")
     if x0.shape != lower.shape:
         raise ValueError(f"expected a start point of dimension {dim}")
-    cap = min(check_count(max_evals, "max_evals", dim + 1), objective.remaining)
+    cap = objective.cap(check_count(max_evals, "max_evals", dim + 1))
 
-    # this search's best-so-far: one entry per evaluation it made
+    # this search's best-so-far and best point: one entry per evaluation
     trace = TraceRecorder()
     exhausted = False
-    best_point: Array | None = None
 
     def evaluate(x: Array) -> float:
-        nonlocal exhausted, best_point
+        nonlocal exhausted
         if len(trace.entries) >= cap:
             exhausted = cap < max_evals
             raise _Stop
         v = objective.evaluate(x)
-        if trace.record(v):
-            best_point = x.copy()
+        trace.record(v, x.copy())
         return v
 
     def clip(x: Array) -> Array:
@@ -190,10 +188,8 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
     except _Stop:
         pass
 
-    if best_point is None:
-        raise BudgetExhausted("no evaluations possible before the budget ran out")
     return NmResult(
-        point=best_point.copy(),
+        point=trace.incumbent,
         trace=trace.entries,
         budget_exhausted=exhausted,
         restarts=restarts,
@@ -212,6 +208,8 @@ def refine_budget_split(total_budget: int, fraction: float) -> tuple[int, int]:
     but never less than one evaluation.
     """
     total_budget = check_count(total_budget, "budget", 1)
+    if total_budget > sys.float_info.max:
+        raise ValueError("budget must not exceed the largest float")
     fraction = check_fraction(fraction, "fraction")
     reserve = math.ceil(fraction * total_budget)
     main = max(1, total_budget - reserve)
@@ -234,6 +232,7 @@ def refine_run(
     seed a simplex (reserve < dim + 1, or the objective has too little
     budget left) the original result is returned unchanged.
     """
+    check_type(objective, Objective, "objective")
     _, reserve = refine_budget_split(objective.budget, fraction)
     nm_budget = min(reserve, objective.remaining)
     if nm_budget < objective.dim + 1:

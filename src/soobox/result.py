@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -35,38 +36,42 @@ def ratio_to_optimum(value: float, f_star: float | None) -> float | None:
 
 
 class TraceRecorder:
-    """Accumulates the per-evaluation best-so-far trace.
+    """Accumulates the per-evaluation best-so-far trace and its incumbent.
 
     The recorder can be primed with an incumbent value so a second
     optimization stage appends to the trace of a first stage without
-    breaking monotonicity.  ``record`` returns True when the new value
-    strictly improves the incumbent (ties keep the earlier value); on an
-    unprimed recorder the first value always counts, even a NaN.
+    breaking monotonicity.  ``record(value, at)`` returns True when value
+    strictly improves the incumbent (ties keep the earlier one), and then
+    ``incumbent`` becomes ``at``, where value was observed (a point, a
+    cell id).  On an unprimed recorder the first value always counts, even
+    a NaN; a primed one keeps ``incumbent`` None until a value improves.
     """
 
-    __slots__ = ("entries", "_best_key", "_best_raw")
+    __slots__ = ("entries", "incumbent", "_best_key", "_best_raw")
 
     def __init__(self, best_value: float | None = None):
         self.entries: list[float] = []
+        self.incumbent = None
         # _best_key None: nothing recorded or primed yet
         self._best_key = None if best_value is None else value_key(best_value)
         self._best_raw = math.nan if best_value is None else float(best_value)
 
-    def record(self, value: float) -> bool:
+    def record(self, value: float, at=None) -> bool:
         key = value_key(value)
         improved = self._best_key is None or key < self._best_key
         if improved:
             self._best_key = key
             self._best_raw = float(value)
+            self.incumbent = at
         self.entries.append(self._best_raw)
         return improved
 
-    def extend(self, values) -> bool:
-        """Record each value in turn; True when any of them improved."""
+    def extend(self, values, at=None) -> bool:
+        """Record each value in turn, with at's matching item; True if any improved."""
         record = self.record
         improved = False
-        for value in values:
-            if record(value):
+        for value, where in zip(values, repeat(None) if at is None else at):
+            if record(value, where):
                 improved = True
         return improved
 

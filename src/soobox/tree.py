@@ -220,10 +220,10 @@ class PartitionTree:
 
     Nothing is counted twice: the best-so-far trace is the run's one
     evaluation ledger, so eval_count is its length; max_leaf_depth is the
-    number of depth heaps minus one; incumbent() is the first cell
-    holding the trace's best value; and eval_budget, the run's cap, is
-    fixed before the root is paid for (the objective's remaining budget,
-    or eval_budget if smaller), so remaining is eval_budget - eval_count.
+    number of depth heaps minus one; incumbent() is the cell id the trace
+    recorded with its best value; and eval_budget, the run's cap, is
+    fixed by Objective.cap before the root is paid for, so remaining is
+    eval_budget - eval_count.
     """
 
     def __init__(
@@ -234,23 +234,22 @@ class PartitionTree:
         params: SooParams | None = None,
         eval_budget: int | None = None,
     ):
+        check_type(objective, Objective, "objective")
         lower, upper = checked_box(lower, upper)
         self.params = SooParams() if params is None else params
         check_type(self.params, SooParams, "params")
         self.objective = objective
-        self.eval_budget = objective.remaining
         if eval_budget is not None:
-            cap = check_count(eval_budget, "eval_budget", 1)
-            self.eval_budget = min(cap, self.eval_budget)
+            eval_budget = check_count(eval_budget, "eval_budget", 1)
+        self.eval_budget = objective.cap(eval_budget)
         self.dim = lower.size
         self.split_log: list[int] = []
         self.trace = TraceRecorder()
         self._mid = (self.params.s_children - 1) // 2
 
-        # an objective with nothing left raises here, from its own meter
         center = (lower + upper) / 2.0
         value = self.objective.evaluate(center)
-        self.trace.record(value)
+        self.trace.record(value, 0)
 
         self._root = (lower.tolist(), upper.tolist(), center.tolist())
         # D - 1 .. 0 twice: a slice of it lists the dimensions cut along a path
@@ -351,19 +350,20 @@ class PartitionTree:
         # Center reuse: the middle slab is not evaluated; it keeps the
         # parent's value (and, through _paid_id, the parent's point).
         mid = self._mid
-        points = []
+        points, fresh_ids = [], []
         for k in range(s):
             if k != mid:
                 point = center.copy()
                 point[d] = (edges[k] + edges[k + 1]) / 2.0
                 points.append(point)
+                fresh_ids.append(n + k)
         fresh = self.objective.evaluate_batch(points)
 
         values = fresh[:mid] + [self._value[leaf_id]] + fresh[mid:]
         heap = self._heaps.setdefault(depth + 1, [])
         for cid, value in enumerate(values, start=n):
             heappush(heap, (value if math.isfinite(value) else math.inf, cid))
-        self.trace.extend(fresh)
+        self.trace.extend(fresh, fresh_ids)
         self._lo.extend(edges[:-1])
         self._up.extend(edges[1:])
         self._value.extend(values)
@@ -412,13 +412,10 @@ class PartitionTree:
     def incumbent(self) -> tuple[Array, float, int]:
         """Best evaluated point: (read-only center, value, cell id).
 
-        The cell is the first one holding the trace's best value.  Ids
-        follow evaluation order and a middle child holds its parent's
-        value at a larger id, so that first cell is the one whose
-        evaluation the trace's best-so-far rule picked, and its own center
-        is the point.
+        The cell is the one whose evaluation the trace's best-so-far rule
+        picked; it paid for its value, so its own center is the point.
         """
-        cid = self._value.index(self.trace.best_value)
+        cid = self.trace.incumbent
         return _frozen(self._box(cid)[2]), self._value[cid], cid
 
     def leaves(self):
@@ -458,12 +455,13 @@ def run_soo(
 ) -> RunResult:
     """Run sweeps until one makes no split.
 
-    A sweep makes no split when the run's cap, the lesser of budget and
-    the objective's remaining budget, cannot pay for one (tree.remaining
-    < S - 1), or when the tree stagnates, which only a finite depth cap
-    allows; the incumbent then is final.  Raises ObjectiveDegenerate when
-    every evaluated value was non-finite, so no incumbent is NaN.
+    A sweep makes no split when the run's cap (Objective.cap of budget)
+    cannot pay for one (tree.remaining < S - 1), or when the tree
+    stagnates, which only a finite depth cap allows; the incumbent then is
+    final.  Raises ObjectiveDegenerate when every evaluated value was
+    non-finite, so no incumbent is NaN.
     """
+    check_type(objective, Objective, "objective")
     tree = PartitionTree(
         objective.lower, objective.upper, objective, params, eval_budget=budget
     )

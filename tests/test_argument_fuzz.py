@@ -2,21 +2,19 @@
 meters anything.
 
 Each parameter that carries a count, a dimension, a seed, a fraction, an
-exploration constant, a depth schedule, a function name, a box or a point
-is fed values from one pool: ints, bools, floats, numpy scalars, NaN,
-+/-inf, negatives, huge values and wrong-shape arrays.  A call must return
-or raise ValueError or SooboxError (UnknownFunction and BadDimension are
-both), and an Objective it was given must have meter == 0 after a raise.
+exploration constant, a depth schedule, a function name, a box, a point
+or an objective is fed values from one pool: ints, bools, floats, numpy
+scalars, NaN, +/-inf, negatives, huge values, non-numbers and wrong-shape
+arrays.  A call must return or raise ValueError or SooboxError
+(UnknownFunction, BadDimension and InvalidBounds are both), and an
+Objective it was given must have meter == 0 after a raise.
 
 Each kind of parameter gets a fixed pool, every value of which is tried,
 plus random hypothesis draws.  Huge values reach 10**400, beyond the
 float range, for every parameter whose size sets no allocation and no
-loop length, except points, boxes and refine_budget_split's budget: numpy's
-float conversion and float arithmetic still raise OverflowError there, a
-gap not yet closed, so those get huge values inside the float range.  A
-dimension, an arm count, a horizon or a budget that sets a run's length
-gets only small integers: a valid 10**18 there is a request for that
-much memory or time, not a bad argument.
+loop length.  A dimension, an arm count, a horizon or a budget that sets
+a run's length gets only small integers: a valid 10**18 there is a
+request for that much memory or time, not a bad argument.
 
 Out of scope: callables (objective functions, reward sources), cell and
 arm ids, and new_tree's space tuple.
@@ -52,6 +50,7 @@ from soobox import (
     run_ucb_grid,
     shift_from_seed,
     suite_manifest,
+    transformed,
     ucb_select,
 )
 
@@ -80,12 +79,10 @@ BEYOND_FLOAT = [10**400, -(10**400)]
 _floats = st.floats(allow_nan=True, allow_infinity=True)
 SMALL = (SCALARS + ARRAYS, st.one_of(st.integers(-3, 12), _floats))
 ANY = (SMALL[0] + HUGE + BEYOND_FLOAT, st.one_of(st.integers(), _floats))
-# integers beyond the float range still raise OverflowError here
-FLOATABLE = (SMALL[0] + HUGE, st.one_of(st.integers(-(2**1000), 2**1000), _floats))
 COORDS = (
-    SMALL[0] + HUGE,
+    SMALL[0] + HUGE + BEYOND_FLOAT + [[10**400, 0.0], {}, [object(), 0.0]],
     st.one_of(
-        st.lists(st.one_of(st.integers(-(2**1000), 2**1000), _floats), max_size=3),
+        st.lists(st.one_of(st.integers(), _floats), max_size=3),
         st.lists(st.lists(st.floats(-6, 6), min_size=2, max_size=2), max_size=2),
     ),
 )
@@ -142,8 +139,13 @@ CALLS = [
     ("Objective-lower", COORDS, lambda v, obj: Objective(np.sum, v, [1.0, 1.0], 5)),
     ("Objective-upper", COORDS, lambda v, obj: Objective(np.sum, [0.0, 0.0], v, 5)),
     ("Objective-budget", ANY, lambda v, obj: Objective(np.sum, [0.0], [1.0], v)),
+    ("transformed-objective", SMALL, lambda v, obj: transformed(v, abs, "abs")),
     ("evaluate", COORDS, lambda v, obj: obj.evaluate(v)),
     ("evaluate_batch", COORDS, lambda v, obj: obj.evaluate_batch(v)),
+    (
+        "PartitionTree-objective", SMALL,
+        lambda v, obj: PartitionTree(obj.lower, obj.upper, v),
+    ),
     ("PartitionTree-lower", COORDS, lambda v, obj: PartitionTree(v, obj.upper, obj)),
     ("PartitionTree-upper", COORDS, lambda v, obj: PartitionTree(obj.lower, v, obj)),
     ("PartitionTree-params", ANY, lambda v, obj: PartitionTree(obj.lower, obj.upper, obj, v)),
@@ -151,6 +153,7 @@ CALLS = [
         "PartitionTree-eval_budget", ANY,
         lambda v, obj: PartitionTree(obj.lower, obj.upper, obj, eval_budget=v),
     ),
+    ("run_soo-objective", SMALL, lambda v, obj: run_soo(v, 20)),
     ("run_soo-budget", ANY, lambda v, obj: run_soo(obj, v)),
     ("run_soo-params", ANY, lambda v, obj: run_soo(obj, 20, v)),
     ("SooParams-s_children", ANY, lambda v, obj: SooParams(s_children=v)),
@@ -162,8 +165,13 @@ CALLS = [
     ("DepthSchedule.constant", ANY, lambda v, obj: DepthSchedule.constant(v)),
     ("max_depth-evals", ANY, lambda v, obj: max_depth(v)),
     ("max_depth-schedule", ANY, lambda v, obj: max_depth(10, v)),
+    (
+        "run_random_search-objective", SMALL,
+        lambda v, obj: run_random_search(v, 10, 0),
+    ),
     ("run_random_search-budget", ANY, lambda v, obj: run_random_search(obj, v, 0)),
     ("run_random_search-seed", ANY, lambda v, obj: run_random_search(obj, 10, v)),
+    ("run_ucb_grid-objective", SMALL, lambda v, obj: run_ucb_grid(v, 10)),
     ("run_ucb_grid-budget", ANY, lambda v, obj: run_ucb_grid(obj, v)),
     ("run_ucb_grid-resolution", ANY, lambda v, obj: run_ucb_grid(obj, 10, v)),
     ("run_ucb_grid-c", ANY, lambda v, obj: run_ucb_grid(obj, 10, 2, v)),
@@ -172,10 +180,15 @@ CALLS = [
     ("ArmStats", SMALL, lambda v, obj: ArmStats(v)),
     ("ucb_select-c", ANY, lambda v, obj: ucb_select(_played_stats(), v)),
     ("bernoulli_arms-seed", ANY, lambda v, obj: bernoulli_arms([0.5], v)),
+    ("nelder_mead-objective", SMALL, lambda v, obj: nelder_mead(v, [0.5, 0.5], 10)),
     ("nelder_mead-x0", COORDS, lambda v, obj: nelder_mead(obj, v, 10)),
     ("nelder_mead-max_evals", ANY, lambda v, obj: nelder_mead(obj, [0.5, 0.5], v)),
-    ("refine_budget_split-budget", FLOATABLE, lambda v, obj: refine_budget_split(v, 0.05)),
+    ("refine_budget_split-budget", ANY, lambda v, obj: refine_budget_split(v, 0.05)),
     ("refine_budget_split-fraction", ANY, lambda v, obj: refine_budget_split(100, v)),
+    (
+        "refine_run-objective", SMALL,
+        lambda v, obj: refine_run(_finished_run(), v, 0.05),
+    ),
     ("refine_run-fraction", ANY, lambda v, obj: refine_run(_finished_run(), obj, v)),
     (
         "run_grid-jobs", ANY,

@@ -26,7 +26,9 @@ from soobox import (
     make_objective,
     max_depth,
     nelder_mead,
+    new_tree,
     refine_budget_split,
+    refine_run,
     run_random_search,
     run_soo,
     run_ucb,
@@ -550,6 +552,22 @@ class TestObjectiveValidation:
         with pytest.raises(InvalidBounds):
             Objective(lambda x: 0.0, [0.0, 0.0], [1.0], budget=1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda obj: Objective(np.sum, [1.0], [0.0], 10), id="objective"),
+            pytest.param(
+                lambda obj: PartitionTree([math.nan], [1.0], obj), id="partition-tree"
+            ),
+        ],
+    )
+    def test_invalid_bounds_is_a_value_error(self, call):
+        # bad bounds are a bad argument, which except ValueError catches
+        obj = Objective(np.sum, [0.0], [1.0], 10)
+        with pytest.raises(ValueError):
+            call(obj)
+        assert obj.meter == 0
+
     def test_shift_outside_box_rejected(self):
         # NaN fails both comparisons with the box, so it must not pass as inside
         # (and a shift of the wrong length is rejected the same way)
@@ -616,6 +634,78 @@ class TestCountRule:
         assert run_soo(obj, np.int64(21)).evals_used == obj.meter == 21
         # stored as a Python int, which the JSON config echo can write
         assert type(DepthSchedule.constant(np.int64(2)).value) is int
+
+
+class TestRunCap:
+    """Objective.cap fixes every run's evaluation cap when it starts."""
+
+    @pytest.mark.parametrize(
+        "budget, spent, cap",
+        [(None, 0, 10), (None, 4, 6), (3, 4, 3), (6, 4, 6), (9, 4, 6), (1, 9, 1)],
+    )
+    def test_cap_is_the_lesser_of_budget_and_remaining(self, budget, spent, cap):
+        obj = make_objective("sphere", 2, budget=10)
+        obj.evaluate_batch(np.zeros((spent, 2)))
+        assert obj.cap(budget) == cap
+        assert obj.meter == spent
+
+    @pytest.mark.parametrize("budget", [None, 1, 5])
+    def test_spent_objective_raises(self, budget):
+        obj = make_objective("sphere", 2, budget=3)
+        obj.evaluate_batch(np.zeros((3, 2)))
+        with pytest.raises(BudgetExhausted):
+            obj.cap(budget)
+        assert obj.meter == 3
+
+    @pytest.mark.parametrize(
+        "run, raises",
+        [
+            pytest.param(lambda obj, result: run_soo(obj, 5), True, id="soo"),
+            pytest.param(
+                lambda obj, result: new_tree((obj.lower, obj.upper), obj), True, id="tree"
+            ),
+            pytest.param(
+                lambda obj, result: run_random_search(obj, 5, 0), True, id="random"
+            ),
+            pytest.param(lambda obj, result: run_ucb_grid(obj, 5), True, id="ucb-grid"),
+            pytest.param(
+                lambda obj, result: nelder_mead(obj, [0.0, 0.0], 5), True, id="nm"
+            ),
+            # refine_run's own cap is its reserve: it keeps the result instead
+            pytest.param(
+                lambda obj, result: refine_run(result, obj, 0.5), False, id="refine"
+            ),
+        ],
+    )
+    def test_spent_objective_starts_no_run(self, run, raises):
+        result = run_soo(make_objective("sphere", 2, budget=5), 5)
+        obj = make_objective("sphere", 2, budget=5)
+        obj.evaluate_batch(np.zeros((5, 2)))
+        if raises:
+            with pytest.raises(BudgetExhausted):
+                run(obj, result)
+        else:
+            assert run(obj, result) is result
+        assert obj.meter == 5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda obj: run_soo(obj, 5.5), id="soo-budget"),
+            pytest.param(lambda obj: run_soo(obj, 5, "log32"), id="soo-params"),
+            pytest.param(lambda obj: run_random_search(obj, 5, -1), id="random-seed"),
+            pytest.param(lambda obj: run_ucb_grid(obj, 5, c=-1.0), id="ucb-grid-c"),
+            pytest.param(lambda obj: run_ucb_grid(obj, 5, 0), id="ucb-grid-resolution"),
+            pytest.param(lambda obj: nelder_mead(obj, [0.0], 5), id="nm-x0"),
+            pytest.param(lambda obj: nelder_mead(obj, [0.0, 0.0], 2), id="nm-max-evals"),
+        ],
+    )
+    def test_bad_argument_on_a_spent_objective_is_a_value_error(self, call):
+        # each runner checks its arguments before Objective.cap
+        obj = make_objective("sphere", 2, budget=5)
+        obj.evaluate_batch(np.zeros((5, 2)))
+        with pytest.raises(ValueError):
+            call(obj)
 
 
 # =============================================================================

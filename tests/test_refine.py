@@ -73,10 +73,13 @@ class TestTraceRecorder:
     )
     def test_record(self, primed, values, improved, entries):
         rec = TraceRecorder(best_value=primed)
-        assert [rec.record(v) for v in values] == improved
+        assert [rec.record(v, at) for at, v in enumerate(values)] == improved
         # repr tells NaN, inf and the sign of zero apart exactly
         assert [repr(v) for v in rec.entries] == [repr(v) for v in entries]
         assert repr(rec.best_value) == repr(entries[-1])
+        # the incumbent is where the last improving value was recorded
+        places = [at for at, better in enumerate(improved) if better]
+        assert rec.incumbent == (places[-1] if places else None)
 
     @given(
         primed=st.none() | _SPECIAL_FLOATS,
@@ -103,10 +106,11 @@ class TestTraceRecorder:
     @settings(max_examples=200, deadline=None)
     def test_extend_reports_whether_any_value_improved(self, primed, values):
         one_by_one = TraceRecorder(best_value=primed)
-        improved = [one_by_one.record(v) for v in values]
+        improved = [one_by_one.record(v, at) for at, v in enumerate(values)]
         extended = TraceRecorder(best_value=primed)
-        assert extended.extend(values) is any(improved)
+        assert extended.extend(values, range(len(values))) is any(improved)
         assert [repr(v) for v in extended.entries] == [repr(v) for v in one_by_one.entries]
+        assert extended.incumbent == one_by_one.incumbent
 
 
 # =============================================================================
