@@ -16,8 +16,10 @@ yields the identical sequence of splits.
 
 Storage: the tree keeps the root box once and, for every other cell, only
 the interval (lo, up) along the dimension its parent cut, (depth - 1) % D,
-in two lists of Python floats; a cell's id is its position in them.  A
-cell's corners are rebuilt by walking its nearest min(depth, D) ancestors,
+in two lists of Python floats; a cell's id is its position in them.  Its
+depth, leaf flag and split log live in typed columns (array("I"),
+bytearray, array("q")) whose slots hold no int objects.  A cell's
+corners are rebuilt by walking its nearest min(depth, D) ancestors,
 itself included, which cut distinct dimensions, and taking the root box
 for the rest.  Its midpoint is (lower + upper) / 2 in Python floats,
 bit-identical to the same numpy arithmetic.  Two per-cell fields are
@@ -36,6 +38,7 @@ are available for study.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -170,7 +173,7 @@ class Cell:
 
     @property
     def is_leaf(self) -> bool:
-        return self._tree._is_leaf[self.id]
+        return bool(self._tree._is_leaf[self.id])
 
     @property
     def volume(self) -> float:
@@ -178,9 +181,9 @@ class Cell:
 
 
 def _frozen(values) -> Array:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
+    frozen = np.array(values, dtype=float)
+    frozen.flags.writeable = False
+    return frozen
 
 
 class CellsView(Sequence):
@@ -208,15 +211,16 @@ class CellsView(Sequence):
 class PartitionTree:
     """Partition state plus the evaluation trace for one run.
 
-    Cells live in an interval log: per-cell lists of the interval along
+    Cells live in an interval log: per-cell columns of the interval along
     the dimension the parent cut, value, depth and leaf flag, plus the
     root box stored once; a cell's id is its index, and its corners,
     split dimension, parent and center are derived (see the module
-    docstring).  A cell costs the same few list slots whatever D is.
+    docstring).  A cell costs the same few column slots whatever D is.
 
-    Leaves are tracked per depth in lazy-deletion min-heaps keyed by
-    (value_key, id), so each sweep touches only the depths it visits and
-    never rescans the whole frontier.
+    Leaves are tracked per depth in min-heaps keyed by (value_key, id), so
+    each sweep touches only the depths it visits and never rescans the
+    whole frontier.  A sweep pops the leaf it splits only after split_leaf
+    returns; stale entries from direct split_leaf calls are dropped lazily.
 
     Nothing is counted twice: the best-so-far trace is the run's one
     evaluation ledger, so eval_count is its length; max_leaf_depth is the
@@ -243,7 +247,7 @@ class PartitionTree:
             eval_budget = check_count(eval_budget, "eval_budget", 1)
         self.eval_budget = objective.cap(eval_budget)
         self.dim = lower.size
-        self.split_log: list[int] = []
+        self.split_log = array("q")
         self.trace = TraceRecorder()
         self._mid = (self.params.s_children - 1) // 2
 
@@ -258,8 +262,8 @@ class PartitionTree:
         self._lo: list[float] = [math.nan]
         self._up: list[float] = [math.nan]
         self._value: list[float] = [value]
-        self._depth: list[int] = [0]
-        self._is_leaf: list[bool] = [True]
+        self._depth = array("I", [0])
+        self._is_leaf = bytearray([True])
         self._heaps: dict[int, list[tuple[float, int]]] = {0: [(value_key(value), 0)]}
 
     # -- evaluation plumbing ------------------------------------------------
@@ -403,6 +407,7 @@ class PartitionTree:
                     return split_ids
                 v_min, cid = heap[0]
                 self.split_leaf(cid)
+                heappop(heap)
                 affordable -= 1
                 split_ids.append(cid)
         return split_ids

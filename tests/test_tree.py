@@ -1,8 +1,10 @@
 """Tests for the partition tree, sweeps, depth schedules, and run_soo."""
 
 import gc
+import json
 import math
 import struct
+import sys
 import tracemalloc
 import weakref
 import zlib
@@ -175,6 +177,14 @@ class TestCellViews:
         assert [c.id for c in tree.leaves()] == [1, 2, 3]
         assert cells[2].parent == 0 and cells[0].parent is None
 
+    def test_is_leaf_is_a_bool(self):
+        # the leaf flags are bytes; a view reports a real bool
+        obj = linear_objective()
+        tree = new_tree((obj.lower, obj.upper), obj)
+        split_leaf(tree, 0)
+        assert tree.cells[0].is_leaf is False
+        assert tree.cells[1].is_leaf is True
+
     def test_storage_grows_past_initial_rows(self):
         # Thousands of cells extend the interval log; views taken early
         # keep reading the same boxes.
@@ -257,7 +267,7 @@ class TestTreeValidation:
         assert len(tree.cells) == 1
         assert tree.cells[0].is_leaf
         assert tree.max_leaf_depth == 0
-        assert tree.split_log == []
+        assert len(tree.split_log) == 0
 
         ids = split_leaf(tree, 0)
         assert ids == list(range(1, s + 1))
@@ -458,6 +468,47 @@ class TestSweep:
         deep_best = min(c.value for c in tree.leaves() if c.depth == 2)
         assert deep_best < tree.cells[split_ids[0]].value  # would have split
 
+    @pytest.mark.parametrize("s", [3, 5])
+    @pytest.mark.parametrize("n_sweeps", [1, 4, 12])
+    def test_failed_split_in_sweep_changes_nothing(self, s, n_sweeps):
+        # A sweep pops the leaf it splits only once split_leaf returns: when
+        # the objective raises inside that split, every depth heap, the
+        # split log, the meter and the trace stay as they were, and the
+        # next sweep on a working objective splits the same leaf as a twin
+        # tree that never failed.
+        armed = [False]
+
+        def fn(x):
+            if armed[0]:
+                raise RuntimeError("boom")
+            return float((x[0] - 0.3) ** 2 + 0.5 * (x[1] - 0.8) ** 2)
+
+        def grown():
+            obj = unit_objective(fn, 2)
+            tree = new_tree((obj.lower, obj.upper), obj, SooParams(s_children=s))
+            for _ in range(n_sweeps):
+                sweep(tree)
+            return obj, tree
+
+        def state(obj, tree):
+            heaps = {d: list(h) for d, h in tree._heaps.items()}
+            return heaps, tree.split_log.tobytes(), obj.meter, list(tree.trace.entries)
+
+        obj, tree = grown()
+        twin_obj, twin = grown()
+        # sweeps pop what they split, so the heaps hold leaves only
+        assert all(
+            tree.cells[cid].is_leaf for h in tree._heaps.values() for _, cid in h
+        )
+        before = state(obj, tree)
+        armed[0] = True
+        with pytest.raises(RuntimeError):
+            sweep(tree)
+        assert state(obj, tree) == before
+        armed[0] = False
+        assert sweep(tree) == sweep(twin)
+        assert state(obj, tree) == state(twin_obj, twin)
+
     def test_empty_sweep_when_cap_blocks_everything(self):
         obj = linear_objective()
         params = SooParams(depth_schedule=DepthSchedule.constant(0))
@@ -574,6 +625,23 @@ class TestRunSoo:
         finally:
             tracemalloc.stop()
         assert peak / result.evals_used < 300
+
+    def test_integer_and_flag_columns_are_compact(self):
+        # split_log, depth and leaf flag are typed columns: at most 10 B
+        # per cell together after a 10-D run (lists cost 20.4 B).
+        obj = make_objective("sphere", 10, budget=5000)
+        tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=5000)
+        while tree.sweep():
+            pass
+        columns = (tree.split_log, tree._depth, tree._is_leaf)
+        size = sum(sys.getsizeof(column) for column in columns)
+        assert size / len(tree.cells) <= 10
+
+    def test_split_ids_are_json_ints(self):
+        result = run_soo(make_objective("sphere", 3, budget=500), 500)
+        assert type(result.split_ids) is tuple and result.split_ids
+        assert all(type(cid) is int for cid in result.split_ids)
+        assert json.loads(json.dumps(result.split_ids)) == list(result.split_ids)
 
     def test_sweeps_split_through_split_leaf(self, monkeypatch):
         # Tracers wrap PartitionTree.split_leaf, so every split a run makes
