@@ -46,7 +46,7 @@ from .objectives import (
     transformed,
 )
 from .refine import NmResult, nelder_mead, refine_budget_split, refine_run
-from .result import RunResult, TraceRecorder
+from .result import RunLedger, RunResult, TraceRecorder
 from .tree import (
     Cell,
     DepthSchedule,
@@ -78,6 +78,7 @@ __all__ = [
     "OutOfBounds",
     "PartitionTree",
     "RunConfig",
+    "RunLedger",
     "RunResult",
     "SUITE_NAMES",
     "SooParams",

@@ -3,8 +3,8 @@
 Upper-confidence-bound selection over a finite arm set, a fixed-horizon
 bandit runner with a simple-regret recommendation, uniform random search
 over a box, and a discretized-domain bandit that treats grid-cell centers
-as arms.  The last two speak the same RunResult/trace language as the
-partition optimizer so the harness can compare them head to head.
+as arms.  The last two pay for evaluations through a RunLedger, as the
+partition optimizer does, so the harness can compare them head to head.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnpulledArm
 from .objectives import Objective, check_count, check_exploration, check_type
-from .result import RunResult, TraceRecorder
+from .result import RunLedger, RunResult
 
 DEFAULT_EXPLORATION = 2.0
 DEFAULT_GRID_RESOLUTION = 3
@@ -79,6 +79,7 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     in index order.  When no score exceeds -inf (every mean is NaN or
     -inf, as after non-finite objective values) arm 0 is chosen.
     """
+    check_type(stats, ArmStats, "stats")
     check_exploration(c)
     pulls = stats.pulls
     if np.count_nonzero(pulls) < len(pulls):
@@ -175,19 +176,17 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     stream as k single-point draws, and each block goes through the
     metered, all-or-nothing Objective.evaluate_batch.  If an evaluation
     raises, the meter therefore stays at the start of its block; no
-    value from that block was handed back.  The run's cap is
-    Objective.cap of budget.
+    value from that block was handed back.
     """
     check_type(objective, Objective, "objective")
     check_count(seed, "seed", 0)
-    budget = objective.cap(check_count(budget, "budget", 1))
+    ledger = RunLedger(objective, check_count(budget, "budget", 1))
     rng = np.random.default_rng(seed)
-    trace = TraceRecorder()
-    while len(trace.entries) < budget:
-        k = min(RANDOM_BLOCK, budget - len(trace.entries))
+    while ledger.left:
+        k = min(RANDOM_BLOCK, ledger.left)
         points = rng.uniform(objective.lower, objective.upper, size=(k, objective.dim))
-        trace.extend(objective.evaluate_batch(points), points)
-    return RunResult(trace.incumbent.copy(), trace.entries, objective.optimum_value)
+        ledger.evaluate_batch(points, points)
+    return ledger.result(ledger.incumbent.copy())
 
 
 def grid_divisions(dim: int, resolution: int) -> list[int]:
@@ -219,13 +218,12 @@ def run_ucb_grid(
     The box is cut into a lattice (see grid_divisions); each lattice cell's
     center is an arm.  Pulls re-evaluate the center and count against the
     budget, keeping the comparison with the other optimizers honest even
-    though the objective is deterministic.  The run's cap is Objective.cap
-    of budget.
+    though the objective is deterministic.
     """
     check_type(objective, Objective, "objective")
     check_exploration(c)
     divisions = grid_divisions(objective.dim, resolution)
-    budget = objective.cap(check_count(budget, "budget", 1))
+    ledger = RunLedger(objective, check_count(budget, "budget", 1))
     axes = []
     for j, m in enumerate(divisions):
         width = (objective.upper[j] - objective.lower[j]) / m
@@ -233,10 +231,7 @@ def run_ucb_grid(
     centers = [np.array(point) for point in itertools.product(*axes)]
 
     stats = ArmStats(len(centers))
-    trace = TraceRecorder()
-    while stats.t < budget:
+    while ledger.left:
         arm = next_arm(stats, c)
-        value = objective.evaluate(centers[arm])
-        stats.update(arm, -value)
-        trace.record(value, centers[arm])
-    return RunResult(trace.incumbent.copy(), trace.entries, objective.optimum_value)
+        stats.update(arm, -ledger.evaluate(centers[arm], centers[arm]))
+    return ledger.result(ledger.incumbent.copy())

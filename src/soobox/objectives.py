@@ -327,9 +327,11 @@ class Objective:
         # recent block; the box is fixed at construction
         self._tiled = {lower.size: (lower, upper)}
         self.name = name
-        self.optimum_point = (
-            None if optimum_point is None else np.asarray(optimum_point, dtype=float)
-        )
+        if optimum_point is not None:
+            optimum_point = as_floats(optimum_point, "optimum_point")
+            if optimum_point.shape != lower.shape:
+                raise ValueError(f"optimum_point must have dimension {lower.size}")
+        self.optimum_point = optimum_point
         self.optimum_value = optimum_value
 
     @property
@@ -339,14 +341,6 @@ class Objective:
     @property
     def remaining(self) -> int:
         return self.budget - self.meter
-
-    def cap(self, budget: int | None) -> int:
-        """A run's evaluation cap, fixed when it starts: the lesser of budget
-        (a count the caller checked; None for no limit) and remaining.
-        Raises BudgetExhausted, with nothing metered, when nothing is left."""
-        if self.remaining == 0:
-            raise BudgetExhausted(f"no evaluations left of a budget of {self.budget}")
-        return self.remaining if budget is None else min(budget, self.remaining)
 
     def _require_inside(self, points: Array) -> None:
         # The flattened block is compared with the bounds tiled to its

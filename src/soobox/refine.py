@@ -7,9 +7,10 @@ clamping against a face can cause) is rebuilt once around the best vertex
 at a tenth of the initial scale.  The coefficients are fixed at the
 textbook values (reflect 1, expand 2, contract 0.5, shrink 0.5); the
 initial simplex offsets each axis by 5% of the box side, and the search
-stops once the simplex's values span at most 1e-12.  The search keeps its
-incumbent in its own TraceRecorder, the same best-so-far rule as every
-run's trace: the earliest of the smallest values, non-finite sorting last.
+stops once the simplex's values span at most 1e-12.  The search pays for
+its evaluations and keeps its incumbent in its own RunLedger, the same
+best-so-far rule as every run's trace: the earliest of the smallest
+values, non-finite sorting last.
 
 The hybrid entry point reserves a fixed fraction of the total budget up
 front, runs the global stage on the remainder, then spends the reserve
@@ -22,11 +23,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .objectives import Objective, as_floats, check_count, check_fraction, check_type
-from .result import RunResult, TraceRecorder
+from .result import RunLedger, RunResult, TraceRecorder
 
 Array = np.ndarray
 
@@ -91,8 +93,8 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
 
     max_evals must cover the initial simplex (dim + 1 points).  The best
     point ever evaluated is returned, so the result value never exceeds
-    f(x0).  The cap is Objective.cap of max_evals; a search stopped by a
-    cap below max_evals has budget_exhausted set.  x0 is the first point
+    f(x0).  The cap is its RunLedger's, from max_evals; a search stopped
+    by a cap below max_evals has budget_exhausted set.  x0 is the first point
     evaluated, so a start outside the box raises OutOfBounds from the
     objective's own bounds check, with nothing metered.
     """
@@ -103,20 +105,13 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
     x0 = as_floats(x0, "x0")
     if x0.shape != lower.shape:
         raise ValueError(f"expected a start point of dimension {dim}")
-    cap = objective.cap(check_count(max_evals, "max_evals", dim + 1))
-
-    # this search's best-so-far and best point: one entry per evaluation
-    trace = TraceRecorder()
+    ledger = RunLedger(objective, check_count(max_evals, "max_evals", dim + 1))
     exhausted = False
 
     def evaluate(x: Array) -> float:
-        nonlocal exhausted
-        if len(trace.entries) >= cap:
-            exhausted = cap < max_evals
+        if not ledger.left:
             raise _Stop
-        v = objective.evaluate(x)
-        trace.record(v, x.copy())
-        return v
+        return ledger.evaluate(x, x.copy())
 
     def clip(x: Array) -> Array:
         return np.clip(x, lower, upper)
@@ -186,14 +181,9 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
                         verts[i] = verts[0] + _SIGMA * (verts[i] - verts[0])
                         fvals[i] = evaluate(verts[i])
     except _Stop:
-        pass
+        exhausted = ledger.cap < max_evals
 
-    return NmResult(
-        point=trace.incumbent,
-        trace=trace.entries,
-        budget_exhausted=exhausted,
-        restarts=restarts,
-    )
+    return NmResult(ledger.incumbent, ledger.entries, exhausted, restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +222,7 @@ def refine_run(
     seed a simplex (reserve < dim + 1, or the objective has too little
     budget left) the original result is returned unchanged.
     """
+    check_type(result, RunResult, "result")
     check_type(objective, Objective, "objective")
     _, reserve = refine_budget_split(objective.budget, fraction)
     nm_budget = min(reserve, objective.remaining)
@@ -239,10 +230,7 @@ def refine_run(
         return result
     nm = nelder_mead(objective, result.best_point, nm_budget)
     trace = TraceRecorder(best_value=result.best_value)
-    improved = trace.extend(nm.trace)
-    return RunResult(
-        best_point=nm.point if improved else result.best_point,
-        trace=list(result.trace) + trace.entries,
-        f_star=objective.optimum_value,
-        split_ids=result.split_ids,
-    )
+    trace.extend(nm.trace, repeat(nm.point))
+    best = result.best_point if trace.incumbent is None else trace.incumbent
+    entries = list(result.trace) + trace.entries
+    return RunResult(best, entries, objective.optimum_value, result.split_ids)

@@ -7,16 +7,18 @@ evaluation i.  The trace is the run's evaluation ledger and the only
 place its counts live: the evaluation count is its length, the best
 value is its last entry, and the best-so-far sequence is monotone
 non-increasing under the ordering that treats non-finite values as
-+infinity.
++infinity.  A run in progress keeps it in a :class:`RunLedger`, which
+pays for each evaluation and records it in one step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
+
+from .errors import BudgetExhausted
 
 # ---------------------------------------------------------------------------
 # ordering helpers
@@ -66,14 +68,11 @@ class TraceRecorder:
         self.entries.append(self._best_raw)
         return improved
 
-    def extend(self, values, at=None) -> bool:
-        """Record each value in turn, with at's matching item; True if any improved."""
+    def extend(self, values, at) -> None:
+        """Record each value in turn, with at's matching item."""
         record = self.record
-        improved = False
-        for value, where in zip(values, repeat(None) if at is None else at):
-            if record(value, where):
-                improved = True
-        return improved
+        for value, where in zip(values, at):
+            record(value, where)
 
     @property
     def best_value(self) -> float:
@@ -129,3 +128,45 @@ class RunResult:
             if key > prev_key:
                 raise ValueError(f"trace row {pos} rises to {val!r}")
             prev_key = key
+
+
+class RunLedger(TraceRecorder):
+    """A run's trace that also pays for each evaluation it records, in one step.
+
+    The cap, fixed when the ledger is built, is the lesser of budget (a
+    checked count; None for no limit) and objective.remaining.  A spent
+    objective, or a request beyond the cap, raises BudgetExhausted unmetered.
+    """
+
+    __slots__ = ("objective", "cap")
+
+    def __init__(self, objective, budget: int | None = None):
+        super().__init__()
+        if objective.remaining == 0:
+            raise BudgetExhausted(f"no evaluations left of a budget of {objective.budget}")
+        self.objective = objective
+        self.cap = min(math.inf if budget is None else budget, objective.remaining)
+
+    @property
+    def left(self) -> int:
+        return self.cap - len(self.entries)
+
+    def _pay(self, m: int) -> None:
+        if m > self.left:
+            raise BudgetExhausted(f"need {m} evaluations, {self.left} left")
+
+    def evaluate(self, x, at) -> float:
+        self._pay(1)
+        value = self.objective.evaluate(x)
+        self.record(value, at)
+        return value
+
+    def evaluate_batch(self, points, at) -> list[float]:
+        self._pay(len(points))
+        values = self.objective.evaluate_batch(points)
+        self.extend(values, at)
+        return values
+
+    def result(self, best_point, split_ids=()) -> RunResult:
+        f_star = self.objective.optimum_value
+        return RunResult(best_point, self.entries, f_star, tuple(split_ids))

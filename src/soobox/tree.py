@@ -45,9 +45,9 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .errors import BudgetExhausted, NotALeaf, ObjectiveDegenerate
+from .errors import NotALeaf, ObjectiveDegenerate
 from .objectives import Objective, check_count, check_type, checked_box
-from .result import RunResult, TraceRecorder, value_key
+from .result import RunLedger, RunResult, value_key
 
 Array = np.ndarray
 
@@ -225,9 +225,8 @@ class PartitionTree:
     Nothing is counted twice: the best-so-far trace is the run's one
     evaluation ledger, so eval_count is its length; max_leaf_depth is the
     number of depth heaps minus one; incumbent() is the cell id the trace
-    recorded with its best value; and eval_budget, the run's cap, is
-    fixed by Objective.cap before the root is paid for, so remaining is
-    eval_budget - eval_count.
+    recorded with its best value; and the trace is a RunLedger, which fixes
+    the run's cap before the root is paid for and pays for every evaluation.
     """
 
     def __init__(
@@ -242,18 +241,15 @@ class PartitionTree:
         lower, upper = checked_box(lower, upper)
         self.params = SooParams() if params is None else params
         check_type(self.params, SooParams, "params")
-        self.objective = objective
         if eval_budget is not None:
             eval_budget = check_count(eval_budget, "eval_budget", 1)
-        self.eval_budget = objective.cap(eval_budget)
+        self.trace = RunLedger(objective, eval_budget)
         self.dim = lower.size
         self.split_log = array("q")
-        self.trace = TraceRecorder()
         self._mid = (self.params.s_children - 1) // 2
 
         center = (lower + upper) / 2.0
-        value = self.objective.evaluate(center)
-        self.trace.record(value, 0)
+        value = self.trace.evaluate(center, 0)
 
         self._root = (lower.tolist(), upper.tolist(), center.tolist())
         # D - 1 .. 0 twice: a slice of it lists the dimensions cut along a path
@@ -272,10 +268,6 @@ class PartitionTree:
     def eval_count(self) -> int:
         """Evaluations consumed: one trace entry per evaluation."""
         return len(self.trace.entries)
-
-    @property
-    def remaining(self) -> int:
-        return self.eval_budget - self.eval_count
 
     # -- structure ----------------------------------------------------------
 
@@ -337,8 +329,6 @@ class PartitionTree:
         if not self._is_leaf[leaf_id]:
             raise NotALeaf(f"cell {leaf_id} was already split")
         s = self.params.s_children
-        if len(self.trace.entries) + s - 1 > self.eval_budget:
-            raise BudgetExhausted(f"need {s - 1} evaluations, {self.remaining} left")
 
         # Along the split dimension the shared interior edges lo + k*step
         # are computed once, so adjacent children have bit-identical
@@ -361,13 +351,9 @@ class PartitionTree:
                 point[d] = (edges[k] + edges[k + 1]) / 2.0
                 points.append(point)
                 fresh_ids.append(n + k)
-        fresh = self.objective.evaluate_batch(points)
+        fresh = self.trace.evaluate_batch(points, fresh_ids)
 
         values = fresh[:mid] + [self._value[leaf_id]] + fresh[mid:]
-        heap = self._heaps.setdefault(depth + 1, [])
-        for cid, value in enumerate(values, start=n):
-            heappush(heap, (value if math.isfinite(value) else math.inf, cid))
-        self.trace.extend(fresh, fresh_ids)
         self._lo.extend(edges[:-1])
         self._up.extend(edges[1:])
         self._value.extend(values)
@@ -375,6 +361,10 @@ class PartitionTree:
         self._is_leaf.extend([True] * s)
         self._is_leaf[leaf_id] = False
         self.split_log.append(leaf_id)
+        # heaps grow last: of the orders measured, this left the lowest peak RSS
+        heap = self._heaps.setdefault(depth + 1, [])
+        for cid, value in enumerate(values, start=n):
+            heappush(heap, (value if math.isfinite(value) else math.inf, cid))
         return list(range(n, n + s))
 
     def sweep(self) -> list[int]:
@@ -393,7 +383,7 @@ class PartitionTree:
             self.max_leaf_depth,
             self.params.depth_schedule.limit(self.eval_count),
         )
-        affordable = self.remaining // (self.params.s_children - 1)
+        affordable = self.trace.left // (self.params.s_children - 1)
         heaps, is_leaf = self._heaps, self._is_leaf
         split_ids: list[int] = []
         v_min = math.inf
@@ -460,8 +450,8 @@ def run_soo(
 ) -> RunResult:
     """Run sweeps until one makes no split.
 
-    A sweep makes no split when the run's cap (Objective.cap of budget)
-    cannot pay for one (tree.remaining < S - 1), or when the tree
+    A sweep makes no split when the run's cap (its RunLedger's, from
+    budget) cannot pay for one (tree.trace.left < S - 1), or when the tree
     stagnates, which only a finite depth cap allows; the incumbent then is
     final.  Raises ObjectiveDegenerate when every evaluated value was
     non-finite, so no incumbent is NaN.
@@ -476,9 +466,4 @@ def run_soo(
     if not math.isfinite(tree.trace.best_value):
         raise ObjectiveDegenerate("every evaluated point was non-finite")
 
-    return RunResult(
-        best_point=tree.incumbent()[0],
-        trace=tree.trace.entries,
-        f_star=objective.optimum_value,
-        split_ids=tuple(tree.split_log),
-    )
+    return tree.trace.result(tree.incumbent()[0], tree.split_log)

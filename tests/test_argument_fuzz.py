@@ -139,6 +139,10 @@ CALLS = [
     ("Objective-lower", COORDS, lambda v, obj: Objective(np.sum, v, [1.0, 1.0], 5)),
     ("Objective-upper", COORDS, lambda v, obj: Objective(np.sum, [0.0, 0.0], v, 5)),
     ("Objective-budget", ANY, lambda v, obj: Objective(np.sum, [0.0], [1.0], v)),
+    (
+        "Objective-optimum_point", COORDS,
+        lambda v, obj: Objective(np.sum, [0.0, 0.0], [1.0, 1.0], 5, optimum_point=v),
+    ),
     ("transformed-objective", SMALL, lambda v, obj: transformed(v, abs, "abs")),
     ("evaluate", COORDS, lambda v, obj: obj.evaluate(v)),
     ("evaluate_batch", COORDS, lambda v, obj: obj.evaluate_batch(v)),
@@ -179,6 +183,7 @@ CALLS = [
     ("run_ucb-c", ANY, lambda v, obj: run_ucb(constant_arms([1.0, 2.0]), 5, v)),
     ("ArmStats", SMALL, lambda v, obj: ArmStats(v)),
     ("ucb_select-c", ANY, lambda v, obj: ucb_select(_played_stats(), v)),
+    ("ucb_select-stats", SMALL, lambda v, obj: ucb_select(v)),
     ("bernoulli_arms-seed", ANY, lambda v, obj: bernoulli_arms([0.5], v)),
     ("nelder_mead-objective", SMALL, lambda v, obj: nelder_mead(v, [0.5, 0.5], 10)),
     ("nelder_mead-x0", COORDS, lambda v, obj: nelder_mead(obj, v, 10)),
@@ -190,6 +195,9 @@ CALLS = [
         lambda v, obj: refine_run(_finished_run(), v, 0.05),
     ),
     ("refine_run-fraction", ANY, lambda v, obj: refine_run(_finished_run(), obj, v)),
+    # a reserve of 15 of the objective's 30 covers a 2-D simplex, so a bad
+    # result would reach Nelder-Mead instead of being handed back unchanged
+    ("refine_run-result", SMALL, lambda v, obj: refine_run(v, obj, 0.5)),
     (
         "run_grid-jobs", ANY,
         lambda v, obj: run_grid(["sphere"], [2], ["soo"], budget=5, jobs=v),

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from soobox import (
     SUITE_NAMES,
     Objective,
+    RunResult,
     SooboxError,
     SooParams,
     make_objective,
+    nelder_mead,
     refine_budget_split,
     refine_run,
     run_random_search,
@@ -144,3 +146,32 @@ def test_random_search_under_faults(faulty, data):
 @settings(max_examples=150, deadline=None)
 def test_ucb_grid_under_faults(faulty, data):
     check_outcome(ucb_grid, faulty, data, spends_all=True)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_nelder_mead_under_faults(data):
+    # a direct search whose own cap, max_evals, is below the objective's budget
+    dim = data.draw(st.integers(1, 3), label="dim")
+    names = [n for n in SUITE_NAMES if not (n == "rosenbrock" and dim < 2)]
+    name = data.draw(st.sampled_from(names), label="name")
+    objective_budget = data.draw(st.integers(dim + 2, 160), label="objective_budget")
+    max_evals = data.draw(st.integers(dim + 1, objective_budget - 1), label="max_evals")
+    k = data.draw(st.integers(1, max_evals + 1), label="k")  # max_evals + 1 never fires
+    fault = data.draw(st.sampled_from(sorted(FAULTS)), label="fault")
+    objective = FaultyObjective(name, dim, objective_budget, k, fault)
+    share = data.draw(st.lists(st.floats(0, 1), min_size=dim, max_size=dim))
+    x0 = objective.lower + (objective.upper - objective.lower) * share
+    try:
+        nm = nelder_mead(objective, x0, max_evals)
+    except (InjectedFault, SooboxError) as error:
+        if fault == "raise" and objective.fired:
+            assert isinstance(error, InjectedFault)  # never swallowed
+        assert objective.meter == objective.delivered <= max_evals
+        return
+    assert not (fault == "raise" and objective.fired)
+    assert objective.meter == objective.delivered == nm.evals_used == len(nm.trace)
+    assert nm.evals_used <= max_evals
+    # the search stopped at its own cap or converged, never at the objective's
+    assert not nm.budget_exhausted
+    RunResult(nm.point, nm.trace).check()

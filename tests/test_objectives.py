@@ -18,6 +18,7 @@ from soobox import (
     Objective,
     OutOfBounds,
     PartitionTree,
+    RunLedger,
     SUITE_NAMES,
     SooParams,
     UnknownFunction,
@@ -637,7 +638,7 @@ class TestCountRule:
 
 
 class TestRunCap:
-    """Objective.cap fixes every run's evaluation cap when it starts."""
+    """A run's RunLedger fixes its evaluation cap when the run starts."""
 
     @pytest.mark.parametrize(
         "budget, spent, cap",
@@ -646,7 +647,8 @@ class TestRunCap:
     def test_cap_is_the_lesser_of_budget_and_remaining(self, budget, spent, cap):
         obj = make_objective("sphere", 2, budget=10)
         obj.evaluate_batch(np.zeros((spent, 2)))
-        assert obj.cap(budget) == cap
+        ledger = RunLedger(obj, budget)
+        assert ledger.cap == ledger.left == cap
         assert obj.meter == spent
 
     @pytest.mark.parametrize("budget", [None, 1, 5])
@@ -654,8 +656,25 @@ class TestRunCap:
         obj = make_objective("sphere", 2, budget=3)
         obj.evaluate_batch(np.zeros((3, 2)))
         with pytest.raises(BudgetExhausted):
-            obj.cap(budget)
+            RunLedger(obj, budget)
         assert obj.meter == 3
+
+    def test_ledger_pays_and_records_within_its_cap(self):
+        obj = make_objective("sphere", 2, budget=10)
+        ledger = RunLedger(obj, 3)
+        ledger.evaluate_batch(np.zeros((2, 2)), "ab")
+        # a request beyond the cap meters and records nothing
+        with pytest.raises(BudgetExhausted):
+            ledger.evaluate_batch(np.zeros((2, 2)), "cd")
+        ledger.evaluate(np.zeros(2), "c")
+        with pytest.raises(BudgetExhausted):
+            ledger.evaluate(np.zeros(2), "d")
+        assert obj.meter == len(ledger.entries) == 3
+        assert ledger.left == 0
+        assert ledger.incumbent == "a"  # a tie keeps the earlier place
+        result = ledger.result(np.zeros(2))
+        assert result.trace is ledger.entries
+        assert (result.f_star, result.split_ids) == (obj.optimum_value, ())
 
     @pytest.mark.parametrize(
         "run, raises",
@@ -701,7 +720,7 @@ class TestRunCap:
         ],
     )
     def test_bad_argument_on_a_spent_objective_is_a_value_error(self, call):
-        # each runner checks its arguments before Objective.cap
+        # each runner checks its arguments before its RunLedger fixes the cap
         obj = make_objective("sphere", 2, budget=5)
         obj.evaluate_batch(np.zeros((5, 2)))
         with pytest.raises(ValueError):

@@ -1,0 +1,42 @@
+"""Ownership: one module owns each step of paying for an evaluation.
+
+Every optimizer pays for and records its evaluations through a RunLedger
+(src/soobox/result.py), so the objective's meter and the run's trace move
+in one step.  This reads the package source and fails when any other
+module meters an objective itself, fixes a cap of its own, starts an
+unprimed trace or builds a RunResult by hand.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import soobox
+
+SOURCES = sorted(Path(soobox.__file__).parent.glob("*.py"))
+
+# (pattern, the modules allowed to match it)
+RULES = [
+    (r"objective\.evaluate(_batch)?\(", {"result.py"}),
+    (r"\.cap\(", set()),
+    (r"TraceRecorder\(\)", {"result.py"}),
+    # refine_run joins two finished stages into one result
+    (r"RunResult\(", {"result.py", "refine.py"}),
+]
+
+
+@pytest.mark.parametrize("pattern, owners", RULES, ids=[rule[0] for rule in RULES])
+def test_only_the_owner_calls(pattern, owners):
+    # a wrong path would find no files and pass vacuously
+    assert {"result.py", "tree.py", "baselines.py", "refine.py"} <= {
+        path.name for path in SOURCES
+    }
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in SOURCES
+        if path.name not in owners
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(pattern, line)
+    ]
+    assert not offenders, "\n".join(offenders)

@@ -1,6 +1,7 @@
 """Tests for the simplex refiner and the hybrid global+local driver."""
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -88,16 +89,20 @@ class TestTraceRecorder:
     @settings(max_examples=300, deadline=None)
     def test_replaying_a_running_best_matches_the_raw_values(self, primed, values):
         # refine_run extends a primed recorder with Nelder-Mead's own
-        # best-so-far trace instead of its raw values
+        # best-so-far trace instead of its raw values, every entry placed
+        # at the search's incumbent
         raw = TraceRecorder(best_value=primed)
-        raw.extend(values)
+        raw.extend(values, range(len(values)))
         search = TraceRecorder()
-        search.extend(values)
+        search.extend(values, range(len(values)))
         replayed = TraceRecorder(best_value=primed)
-        replayed.extend(search.entries)
+        replayed.extend(search.entries, repeat(search.incumbent))
         # repr tells NaN, inf and the sign of zero apart exactly
         assert [repr(v) for v in replayed.entries] == [repr(v) for v in raw.entries]
         assert repr(replayed.best_value) == repr(raw.best_value)
+        # the replay improves exactly when the raw values would, and then
+        # its incumbent is where the raw values' best was recorded
+        assert replayed.incumbent == raw.incumbent
 
     @given(
         primed=st.none() | _SPECIAL_FLOATS,
@@ -108,7 +113,9 @@ class TestTraceRecorder:
         one_by_one = TraceRecorder(best_value=primed)
         improved = [one_by_one.record(v, at) for at, v in enumerate(values)]
         extended = TraceRecorder(best_value=primed)
-        assert extended.extend(values, range(len(values))) is any(improved)
+        extended.extend(values, range(len(values)))
+        # a primed recorder's incumbent stays None until a value improves
+        assert (extended.incumbent is not None) is any(improved)
         assert [repr(v) for v in extended.entries] == [repr(v) for v in one_by_one.entries]
         assert extended.incumbent == one_by_one.incumbent
 

@@ -294,8 +294,8 @@ class TestTreeValidation:
         obj = linear_objective(budget=objective_budget)
         tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=eval_budget)
         split_leaf(tree, 0)
-        assert tree.eval_budget == 4
-        assert tree.remaining == 1
+        assert tree.trace.cap == 4
+        assert tree.trace.left == 1
         trace = list(tree.trace.entries)
         with pytest.raises(BudgetExhausted):
             split_leaf(tree, 1)
