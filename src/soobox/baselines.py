@@ -50,7 +50,15 @@ class ArmStats:
     def n_arms(self) -> int:
         return len(self.pulls)
 
+    def _arm(self, arm) -> int:
+        """arm as an int; ValueError unless it is the index of an arm."""
+        arm = check_count(arm, "arm", 0)
+        if arm >= self.n_arms:
+            raise ValueError(f"no arm with index {arm}")
+        return arm
+
     def mean(self, arm: int) -> float:
+        arm = self._arm(arm)
         if self.pulls[arm] == 0:
             raise UnpulledArm(f"arm {arm} has no observations")
         return float(self._sums[arm] / self.pulls[arm])
@@ -64,8 +72,7 @@ class ArmStats:
         ]
 
     def update(self, arm: int, reward: float) -> None:
-        if not 0 <= arm < self.n_arms:
-            raise ValueError(f"no arm with index {arm}")
+        arm = self._arm(arm)
         self.pulls[arm] += 1
         self._sums[arm] += float(reward)
         self.t += 1

@@ -204,7 +204,11 @@ def check_count(
     sibling checkers below own the other argument rules: check_shift_seed,
     check_fraction, check_exploration and check_type.  All but check_type
     return the plain int or float they accepted, never a numpy scalar."""
-    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int first: the numbers.Integral check is several times
+    # slower, and ArmStats checks the arm index of every UCB pull
+    integer = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
     if not integer or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
@@ -373,16 +377,21 @@ class Objective:
         self.meter += m
         return values
 
+    def _point_block(self, x) -> Array:
+        """The (1, D) block holding one point; ValueError unless x converts
+        to a point of dimension D."""
+        x = as_floats(x, "point")
+        if x.shape != self.lower.shape:
+            raise ValueError(f"expected a point of dimension {self.dim}")
+        return x[np.newaxis]
+
     def evaluate(self, x) -> float:
         """f(x) for one point, computed as the (1, D) block holding x.
 
         The meter advances only when the function returns; if it raises,
         the exception propagates and nothing is metered.
         """
-        x = as_floats(x, "point")
-        if x.shape != self.lower.shape:
-            raise ValueError(f"expected a point of dimension {self.dim}")
-        return self._metered(x[np.newaxis])[0]
+        return self._metered(self._point_block(x))[0]
 
     def evaluate_batch(self, points) -> list[float]:
         """f at each row of an (m, dim) block, metered as one step.
@@ -400,8 +409,9 @@ class Objective:
         return self._metered(points)
 
     def raw(self, x) -> float:
-        """Evaluate one point without metering or bounds checks (testing oracle)."""
-        return _block_values(self._fn, np.asarray(x, dtype=float).reshape(1, -1))[0]
+        """Evaluate one point without metering or bounds checks (testing
+        oracle); x is converted and shape-checked as evaluate() does."""
+        return _block_values(self._fn, self._point_block(x))[0]
 
 
 def suite_f_star(name: str) -> float:

@@ -14,8 +14,8 @@ values, non-finite sorting last.
 
 The hybrid entry point reserves a fixed fraction of the total budget up
 front, runs the global stage on the remainder, then spends the reserve
-polishing the global incumbent.  The search's trace, replayed into a
-recorder primed with that incumbent, extends the global stage's trace.
+polishing the global incumbent; RunResult.then joins the search's trace
+to the global stage's.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .objectives import Objective, as_floats, check_count, check_fraction, check_type
-from .result import RunLedger, RunResult, TraceRecorder
+from .result import RunLedger, RunResult
 
 Array = np.ndarray
 
@@ -215,12 +214,10 @@ def refine_run(
     """Polish a finished run's incumbent with the reserved budget share.
 
     The reserve is refine_budget_split(objective.budget, fraction)'s,
-    assumed to have been held back from the earlier stage.  The refinement
-    trace, replayed into a recorder primed with the original incumbent,
-    extends the original trace, and the refined point is kept exactly when
-    that replay improved (ties keep the original).  When the reserve cannot
-    seed a simplex (reserve < dim + 1, or the objective has too little
-    budget left) the original result is returned unchanged.
+    assumed to have been held back from the earlier stage; result.then
+    joins the refinement trace to the original one.  When the reserve
+    cannot seed a simplex (reserve < dim + 1, or the objective has too
+    little budget left) the original result is returned unchanged.
     """
     check_type(result, RunResult, "result")
     check_type(objective, Objective, "objective")
@@ -229,8 +226,4 @@ def refine_run(
     if nm_budget < objective.dim + 1:
         return result
     nm = nelder_mead(objective, result.best_point, nm_budget)
-    trace = TraceRecorder(best_value=result.best_value)
-    trace.extend(nm.trace, repeat(nm.point))
-    best = result.best_point if trace.incumbent is None else trace.incumbent
-    entries = list(result.trace) + trace.entries
-    return RunResult(best, entries, objective.optimum_value, result.split_ids)
+    return result.then(nm.point, nm.trace)

@@ -7,18 +7,20 @@ evaluation i.  The trace is the run's evaluation ledger and the only
 place its counts live: the evaluation count is its length, the best
 value is its last entry, and the best-so-far sequence is monotone
 non-increasing under the ordering that treats non-finite values as
-+infinity.  A run in progress keeps it in a :class:`RunLedger`, which
-pays for each evaluation and records it in one step.
++infinity.  A :class:`RunLedger` pays for and records a run's evaluations,
+and :meth:`RunResult.then` joins a later stage's trace to a finished run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .errors import BudgetExhausted
+from .objectives import Objective, check_count, check_type
 
 # ---------------------------------------------------------------------------
 # ordering helpers
@@ -40,25 +42,22 @@ def ratio_to_optimum(value: float, f_star: float | None) -> float | None:
 class TraceRecorder:
     """Accumulates the per-evaluation best-so-far trace and its incumbent.
 
-    The recorder can be primed with an incumbent value so a second
-    optimization stage appends to the trace of a first stage without
-    breaking monotonicity.  ``record(value, at)`` returns True when value
-    strictly improves the incumbent (ties keep the earlier one), and then
-    ``incumbent`` becomes ``at``, where value was observed (a point, a
-    cell id).  On an unprimed recorder the first value always counts, even
-    a NaN; a primed one keeps ``incumbent`` None until a value improves.
+    ``record(value, at)`` returns True when value strictly improves the
+    incumbent (ties keep the earlier one), and then ``incumbent`` becomes
+    ``at``, where value was observed (a point, a cell id).  The first value
+    always counts, even a NaN, so ``incumbent`` is None exactly when
+    nothing has been recorded.
     """
 
     __slots__ = ("entries", "incumbent", "_best_key", "_best_raw")
 
-    def __init__(self, best_value: float | None = None):
+    def __init__(self):
         self.entries: list[float] = []
         self.incumbent = None
-        # _best_key None: nothing recorded or primed yet
-        self._best_key = None if best_value is None else value_key(best_value)
-        self._best_raw = math.nan if best_value is None else float(best_value)
+        self._best_key = None  # None: nothing recorded yet
+        self._best_raw = math.nan
 
-    def record(self, value: float, at=None) -> bool:
+    def record(self, value: float, at) -> bool:
         key = value_key(value)
         improved = self._best_key is None or key < self._best_key
         if improved:
@@ -129,19 +128,32 @@ class RunResult:
                 raise ValueError(f"trace row {pos} rises to {val!r}")
             prev_key = key
 
+    def then(self, point, trace) -> RunResult:
+        """This run, then a later stage's best-so-far trace found at point, as
+        recording both stages' raw values gives it (a tie keeps best_point)."""
+        joined = TraceRecorder()
+        joined.record(self.best_value, self.best_point)
+        joined.extend(trace, repeat(point))
+        entries = list(self.trace) + joined.entries[1:]
+        return RunResult(joined.incumbent, entries, self.f_star, self.split_ids)
+
 
 class RunLedger(TraceRecorder):
     """A run's trace that also pays for each evaluation it records, in one step.
 
     The cap, fixed when the ledger is built, is the lesser of budget (a
-    checked count; None for no limit) and objective.remaining.  A spent
-    objective, or a request beyond the cap, raises BudgetExhausted unmetered.
+    count >= 1; None for no limit) and objective.remaining; a bad argument
+    raises ValueError.  A spent objective, or a request beyond the cap,
+    raises BudgetExhausted unmetered.
     """
 
     __slots__ = ("objective", "cap")
 
-    def __init__(self, objective, budget: int | None = None):
+    def __init__(self, objective: Objective, budget: int | None = None):
         super().__init__()
+        check_type(objective, Objective, "objective")
+        if budget is not None:
+            budget = check_count(budget, "budget", 1)
         if objective.remaining == 0:
             raise BudgetExhausted(f"no evaluations left of a budget of {objective.budget}")
         self.objective = objective

@@ -16,8 +16,8 @@ loop length.  A dimension, an arm count, a horizon or a budget that sets
 a run's length gets only small integers: a valid 10**18 there is a
 request for that much memory or time, not a bad argument.
 
-Out of scope: callables (objective functions, reward sources), cell and
-arm ids, and new_tree's space tuple.
+Out of scope: callables (objective functions, reward sources), cell ids
+and new_tree's space tuple.
 """
 
 import math
@@ -33,6 +33,7 @@ from soobox import (
     Objective,
     PartitionTree,
     RunConfig,
+    RunLedger,
     SooboxError,
     SooParams,
     bernoulli_arms,
@@ -146,6 +147,9 @@ CALLS = [
     ("transformed-objective", SMALL, lambda v, obj: transformed(v, abs, "abs")),
     ("evaluate", COORDS, lambda v, obj: obj.evaluate(v)),
     ("evaluate_batch", COORDS, lambda v, obj: obj.evaluate_batch(v)),
+    ("Objective.raw", COORDS, lambda v, obj: obj.raw(v)),
+    ("RunLedger-objective", SMALL, lambda v, obj: RunLedger(v)),
+    ("RunLedger-budget", ANY, lambda v, obj: RunLedger(obj, v)),
     (
         "PartitionTree-objective", SMALL,
         lambda v, obj: PartitionTree(obj.lower, obj.upper, v),
@@ -182,6 +186,8 @@ CALLS = [
     ("run_ucb-horizon", SMALL, lambda v, obj: run_ucb(constant_arms([1.0, 2.0]), v)),
     ("run_ucb-c", ANY, lambda v, obj: run_ucb(constant_arms([1.0, 2.0]), 5, v)),
     ("ArmStats", SMALL, lambda v, obj: ArmStats(v)),
+    ("ArmStats.update-arm", ANY, lambda v, obj: _played_stats().update(v, 1.0)),
+    ("ArmStats.mean-arm", ANY, lambda v, obj: _played_stats().mean(v)),
     ("ucb_select-c", ANY, lambda v, obj: ucb_select(_played_stats(), v)),
     ("ucb_select-stats", SMALL, lambda v, obj: ucb_select(v)),
     ("bernoulli_arms-seed", ANY, lambda v, obj: bernoulli_arms([0.5], v)),

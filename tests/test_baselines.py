@@ -293,18 +293,16 @@ class TestRandomSearch:
         reference = make_objective("rastrigin", 3, budget=objective_budget)
         rng = np.random.default_rng(4)
         trace = TraceRecorder()
-        best_point = None
         for _ in range(budget):
             if reference.remaining < 1:
                 break
             x = rng.uniform(reference.lower, reference.upper)
-            if trace.record(reference.evaluate(x)):
-                best_point = x
+            trace.record(reference.evaluate(x), x)
 
         obj = make_objective("rastrigin", 3, budget=objective_budget)
         result = run_random_search(obj, budget, seed=4)
         assert result.trace == trace.entries
-        assert result.best_point.tobytes() == best_point.tobytes()
+        assert result.best_point.tobytes() == trace.incumbent.tobytes()
         assert result.evals_used == len(trace.entries) == min(budget, objective_budget)
         assert obj.meter == reference.meter
 

@@ -188,6 +188,17 @@ class TestMetering:
         with pytest.raises(ValueError):
             obj.evaluate([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "point", [[1.0, 2.0, 3.0], [[0.5, 0.5], [0.5, 0.5]], [0.5], 0.5, {}, 10**400]
+    )
+    def test_raw_checks_the_point_as_evaluate_does(self, point):
+        obj = Objective(np.sum, [0.0, 0.0], [1.0, 1.0], 5)
+        with pytest.raises(ValueError):
+            obj.raw(point)
+        # a point of the right shape outside the box is still evaluated, unmetered
+        assert obj.raw([3.0, 4.0]) == 7.0
+        assert obj.meter == 0
+
     def test_budget_zero_allows_no_evaluations(self):
         obj = make_objective("sphere", 2, budget=0)
         with pytest.raises(BudgetExhausted):
@@ -584,6 +595,13 @@ class TestObjectiveValidation:
         assert obj.evaluate([0.2, 0.2]) == obj.optimum_value
 
 
+def _pulled_arms():
+    stats = ArmStats(2)
+    stats.update(0, 0.3)
+    stats.update(1, 0.6)
+    return stats
+
+
 # calls on a fresh 2-D objective: every count passed in must be an
 # integer at or above its floor, checked before any evaluation
 BAD_COUNTS = [
@@ -614,6 +632,16 @@ BAD_COUNTS = [
     pytest.param(lambda obj: DepthSchedule("constant", True), id="constant-depth-bool"),
     # a depth cap's evaluation count is a count too
     pytest.param(lambda obj: max_depth(2.5), id="max-depth-evals"),
+    # a ledger checks its own budget, though every runner checks first
+    pytest.param(lambda obj: RunLedger(obj, 2.5), id="ledger-budget"),
+    pytest.param(lambda obj: RunLedger(obj, True), id="ledger-budget-bool"),
+    pytest.param(lambda obj: RunLedger(obj, -3), id="ledger-budget-negative"),
+    # an arm id is a count from 0 below the number of arms
+    pytest.param(lambda obj: _pulled_arms().update(True, 1.0), id="arm-update-bool"),
+    pytest.param(lambda obj: _pulled_arms().update(1.5, 1.0), id="arm-update-float"),
+    pytest.param(lambda obj: _pulled_arms().mean(1.5), id="arm-mean-float"),
+    pytest.param(lambda obj: _pulled_arms().mean(-1), id="arm-mean-negative"),
+    pytest.param(lambda obj: _pulled_arms().mean(2), id="arm-mean-past-last"),
     # not a count, but refused at construction all the same
     pytest.param(
         lambda obj: run_soo(obj, 20, SooParams(depth_schedule="log32")),

@@ -3,8 +3,8 @@
 Every optimizer pays for and records its evaluations through a RunLedger
 (src/soobox/result.py), so the objective's meter and the run's trace move
 in one step.  This reads the package source and fails when any other
-module meters an objective itself, fixes a cap of its own, starts an
-unprimed trace or builds a RunResult by hand.
+module meters an objective itself, fixes a cap of its own, builds a
+trace or a RunResult, or records a value outside the ledger.
 """
 
 import re
@@ -20,9 +20,9 @@ SOURCES = sorted(Path(soobox.__file__).parent.glob("*.py"))
 RULES = [
     (r"objective\.evaluate(_batch)?\(", {"result.py"}),
     (r"\.cap\(", set()),
-    (r"TraceRecorder\(\)", {"result.py"}),
-    # refine_run joins two finished stages into one result
-    (r"RunResult\(", {"result.py", "refine.py"}),
+    (r"TraceRecorder\(", {"result.py"}),
+    (r"RunResult\(", {"result.py"}),
+    (r"\.record\(", {"result.py"}),
 ]
 
 

@@ -1,7 +1,6 @@
 """Tests for the simplex refiner and the hybrid global+local driver."""
 
 import math
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from soobox import (
     run_soo,
 )
 from soobox import refine
-from soobox.result import TraceRecorder
+from soobox.result import RunResult, TraceRecorder
 
 # =============================================================================
 # Fixed coefficients
@@ -49,9 +48,9 @@ _SPECIAL_FLOATS = st.sampled_from(
 
 class TestTraceRecorder:
     @pytest.mark.parametrize(
-        "primed, values, improved, entries",
+        "first, values, improved, entries",
         [
-            # the first value counts on an unprimed recorder, even NaN
+            # the first value counts, even NaN
             (None, [math.nan], [True], [math.nan]),
             (None, [math.nan, 5.0], [True, True], [math.nan, 5.0]),
             (None, [-math.inf, 7.0], [True, True], [-math.inf, 7.0]),
@@ -65,57 +64,71 @@ class TestTraceRecorder:
             # a tie keeps the earlier value: 0.0 and -0.0 compare equal
             (None, [0.0, -0.0, 0.0], [True, False, False], [0.0, 0.0, 0.0]),
             (None, [-0.0, 0.0], [True, False], [-0.0, -0.0]),
-            # a primed recorder counts only a strictly smaller key
+            # after a first value, only a strictly smaller key counts
             (1.0, [1.0, 2.0, 0.5], [False, False, True], [1.0, 1.0, 0.5]),
             (0.0, [-0.0], [False], [0.0]),
             (math.nan, [math.inf, math.nan, 4.0], [False, False, True],
              [math.nan, math.nan, 4.0]),
         ],
     )
-    def test_record(self, primed, values, improved, entries):
-        rec = TraceRecorder(best_value=primed)
+    def test_record(self, first, values, improved, entries):
+        # first, when given, is recorded at place -1 before values
+        rec = TraceRecorder()
+        if first is not None:
+            assert rec.record(first, -1)
         assert [rec.record(v, at) for at, v in enumerate(values)] == improved
         # repr tells NaN, inf and the sign of zero apart exactly
-        assert [repr(v) for v in rec.entries] == [repr(v) for v in entries]
+        skip = 0 if first is None else 1
+        assert [repr(v) for v in rec.entries[skip:]] == [repr(v) for v in entries]
         assert repr(rec.best_value) == repr(entries[-1])
         # the incumbent is where the last improving value was recorded
-        places = [at for at, better in enumerate(improved) if better]
-        assert rec.incumbent == (places[-1] if places else None)
+        places = [-1] + [at for at, better in enumerate(improved) if better]
+        assert rec.incumbent == places[-1]
 
     @given(
-        primed=st.none() | _SPECIAL_FLOATS,
-        values=st.lists(_SPECIAL_FLOATS, max_size=12),
+        first=st.lists(_SPECIAL_FLOATS, min_size=1, max_size=6),
+        later=st.lists(_SPECIAL_FLOATS, max_size=12),
     )
     @settings(max_examples=300, deadline=None)
-    def test_replaying_a_running_best_matches_the_raw_values(self, primed, values):
-        # refine_run extends a primed recorder with Nelder-Mead's own
-        # best-so-far trace instead of its raw values, every entry placed
-        # at the search's incumbent
-        raw = TraceRecorder(best_value=primed)
-        raw.extend(values, range(len(values)))
+    def test_replaying_a_running_best_matches_the_raw_values(self, first, later):
+        # refine_run joins Nelder-Mead's own best-so-far trace, not its raw
+        # values, to the global stage through RunResult.then, with the
+        # search's incumbent as the later stage's point; the oracle is one
+        # recorder fed every raw value of both stages
+        raw = TraceRecorder()
+        raw.extend(first + later, range(len(first) + len(later)))
+        stage = TraceRecorder()
+        stage.extend(first, range(len(first)))
+        result = RunResult(stage.incumbent, stage.entries, 2.0, (3, 1))
         search = TraceRecorder()
-        search.extend(values, range(len(values)))
-        replayed = TraceRecorder(best_value=primed)
-        replayed.extend(search.entries, repeat(search.incumbent))
+        search.extend(later, range(len(first), len(first) + len(later)))
+        joined = result.then(search.incumbent, search.entries)
         # repr tells NaN, inf and the sign of zero apart exactly
-        assert [repr(v) for v in replayed.entries] == [repr(v) for v in raw.entries]
-        assert repr(replayed.best_value) == repr(raw.best_value)
-        # the replay improves exactly when the raw values would, and then
-        # its incumbent is where the raw values' best was recorded
-        assert replayed.incumbent == raw.incumbent
+        assert [repr(v) for v in joined.trace] == [repr(v) for v in raw.entries]
+        assert repr(joined.best_value) == repr(raw.best_value)
+        # the later point is kept exactly when the raw values' best is
+        # among the later stage's, at the place it was recorded
+        assert joined.best_point == raw.incumbent
+        assert (joined.f_star, joined.split_ids) == (2.0, (3, 1))
+        assert len(result.trace) == len(first)  # the first stage is not changed
 
     @given(
-        primed=st.none() | _SPECIAL_FLOATS,
+        first=st.none() | _SPECIAL_FLOATS,
         values=st.lists(_SPECIAL_FLOATS, max_size=12),
     )
     @settings(max_examples=200, deadline=None)
-    def test_extend_reports_whether_any_value_improved(self, primed, values):
-        one_by_one = TraceRecorder(best_value=primed)
+    def test_extend_reports_whether_any_value_improved(self, first, values):
+        one_by_one = TraceRecorder()
+        extended = TraceRecorder()
+        if first is not None:
+            one_by_one.record(first, -1)
+            extended.record(first, -1)
         improved = [one_by_one.record(v, at) for at, v in enumerate(values)]
-        extended = TraceRecorder(best_value=primed)
         extended.extend(values, range(len(values)))
-        # a primed recorder's incumbent stays None until a value improves
-        assert (extended.incumbent is not None) is any(improved)
+        # the incumbent leaves the first value's place only when a value
+        # improves, and is None only while nothing has been recorded
+        assert (extended.incumbent not in (None, -1)) is any(improved)
+        assert (extended.incumbent is None) is (first is None and not values)
         assert [repr(v) for v in extended.entries] == [repr(v) for v in one_by_one.entries]
         assert extended.incumbent == one_by_one.incumbent
 
