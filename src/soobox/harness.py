@@ -147,6 +147,12 @@ def run_algorithm(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
+# The trace CSV is joined per block of rows, and text is written per slice
+# of characters, so neither step holds a second copy of a whole file.
+_CSV_BLOCK_ROWS = 4096
+_WRITE_CHARS = 64 * 1024
+
+
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
@@ -160,7 +166,9 @@ def _atomic_write(path: Path, text: str) -> None:
     handle = open(tmp, "x")
     try:
         with handle:
-            handle.write(text)
+            # str slices cut between code points, never inside a character
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -172,18 +180,24 @@ def trace_csv_text(result: RunResult, f_star: float | None) -> str:
 
     The best-so-far value repeats over long runs of rows, so its text (and
     its ratio's) is formatted once per distinct value object.  No field
-    can contain a delimiter or quote, so rows are joined directly.
+    can contain a delimiter or quote, so rows are joined directly, per
+    block of _CSV_BLOCK_ROWS, and then the blocks.
     """
-    lines = ["eval_index,best_value,ratio"]
+    trace = result.trace
+    blocks = ["eval_index,best_value,ratio\n"]
     last = tail = None
-    for index, value in enumerate(result.trace, start=1):
-        if value is not last:
-            last = value
-            ratio = ratio_to_optimum(value, f_star)
-            tail = f"{_fmt(value)},{'' if ratio is None else _fmt(ratio)}"
-        lines.append(f"{index},{tail}")
-    lines.append("")
-    return "\n".join(lines)
+    for start in range(0, len(trace), _CSV_BLOCK_ROWS):
+        rows = []
+        for index, value in enumerate(
+            trace[start:start + _CSV_BLOCK_ROWS], start=start + 1
+        ):
+            if value is not last:
+                last = value
+                ratio = ratio_to_optimum(value, f_star)
+                tail = f"{_fmt(value)},{'' if ratio is None else _fmt(ratio)}"
+            rows.append(f"{index},{tail}\n")
+        blocks.append("".join(rows))
+    return "".join(blocks)
 
 
 def read_trace_csv(path: Path) -> list[float]:

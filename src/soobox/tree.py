@@ -15,10 +15,14 @@ drive the tree, so any strictly increasing transform of the objective
 yields the identical sequence of splits.
 
 Storage: the tree keeps the root box once and, for every other cell, only
-the interval (lo, up) along the dimension its parent cut, (depth - 1) % D,
-in two lists of Python floats; a cell's id is its position in them.  Its
-depth, leaf flag and split log live in typed columns (array("I"),
-bytearray, array("q")) whose slots hold no int objects.  A cell's
+the interval (lo, up) along the dimension its parent cut, (depth - 1) % D;
+a cell's id is its position in the columns.  Its interval and value live
+in array("d") columns, and its depth, leaf flag and split log in
+array("I"), bytearray and array("q"), so no slot holds a float or int
+object.  A leaf's heap entry is one int, (order << bits) | id, where order
+is value_order(value) (result.py), which sorts as value_key does, and bits
+is the bit length of the last id the run's cap allows: keys sort by value,
+then by id, so of tied values the earliest cell comes first.  A cell's
 corners are rebuilt by walking its nearest min(depth, D) ancestors,
 itself included, which cut distinct dimensions, and taking the root box
 for the rest.  Its midpoint is (lower + upper) / 2 in Python floats,
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import NotALeaf, ObjectiveDegenerate
 from .objectives import Objective, check_count, check_type, checked_box
-from .result import RunLedger, RunResult, value_key
+from .result import INF_ORDER, RunLedger, RunResult, value_order
 
 Array = np.ndarray
 
@@ -217,7 +221,8 @@ class PartitionTree:
     split dimension, parent and center are derived (see the module
     docstring).  A cell costs the same few column slots whatever D is.
 
-    Leaves are tracked per depth in min-heaps keyed by (value_key, id), so
+    Leaves are tracked per depth in min-heaps of packed int keys,
+    (value_order(value) << bits) | id, which sort as (value_key, id), so
     each sweep touches only the depths it visits and never rescans the
     whole frontier.  A sweep pops the leaf it splits only after split_leaf
     returns; stale entries from direct split_leaf calls are dropped lazily.
@@ -246,7 +251,11 @@ class PartitionTree:
         self.trace = RunLedger(objective, eval_budget)
         self.dim = lower.size
         self.split_log = array("q")
-        self._mid = (self.params.s_children - 1) // 2
+        s = self.params.s_children
+        self._mid = (s - 1) // 2
+        # heap keys are (order << bits) | id: bits hold the last id the cap allows
+        self._bits = (s * ((self.trace.cap - 1) // (s - 1))).bit_length()
+        self._mask = (1 << self._bits) - 1
 
         center = (lower + upper) / 2.0
         value = self.trace.evaluate(center, 0)
@@ -255,12 +264,12 @@ class PartitionTree:
         # D - 1 .. 0 twice: a slice of it lists the dimensions cut along a path
         self._dims_down = list(range(self.dim - 1, -1, -1)) * 2
         # the root was cut by no parent: its slots are never read
-        self._lo: list[float] = [math.nan]
-        self._up: list[float] = [math.nan]
-        self._value: list[float] = [value]
+        self._lo = array("d", [math.nan])
+        self._up = array("d", [math.nan])
+        self._value = array("d", [value])
         self._depth = array("I", [0])
         self._is_leaf = bytearray([True])
-        self._heaps: dict[int, list[tuple[float, int]]] = {0: [(value_key(value), 0)]}
+        self._heaps: dict[int, list[int]] = {0: [value_order(value) << self._bits]}
 
     # -- evaluation plumbing ------------------------------------------------
 
@@ -354,17 +363,17 @@ class PartitionTree:
         fresh = self.trace.evaluate_batch(points, fresh_ids)
 
         values = fresh[:mid] + [self._value[leaf_id]] + fresh[mid:]
-        self._lo.extend(edges[:-1])
-        self._up.extend(edges[1:])
-        self._value.extend(values)
+        self._lo.fromlist(edges[:-1])
+        self._up.fromlist(edges[1:])
+        self._value.fromlist(values)
         self._depth.extend([depth + 1] * s)
         self._is_leaf.extend([True] * s)
         self._is_leaf[leaf_id] = False
         self.split_log.append(leaf_id)
         # heaps grow last: of the orders measured, this left the lowest peak RSS
-        heap = self._heaps.setdefault(depth + 1, [])
+        heap, bits = self._heaps.setdefault(depth + 1, []), self._bits
         for cid, value in enumerate(values, start=n):
-            heappush(heap, (value if math.isfinite(value) else math.inf, cid))
+            heappush(heap, (value_order(value) << bits) | cid)
         return list(range(n, n + s))
 
     def sweep(self) -> list[int]:
@@ -384,18 +393,21 @@ class PartitionTree:
             self.params.depth_schedule.limit(self.eval_count),
         )
         affordable = self.trace.left // (self.params.s_children - 1)
-        heaps, is_leaf = self._heaps, self._is_leaf
+        heaps, is_leaf, mask = self._heaps, self._is_leaf, self._mask
         split_ids: list[int] = []
-        v_min = math.inf
+        # keys compare by order first, so a key undercuts v_min iff its
+        # value does; a non-finite best leaf never undercuts the start
+        v_min = INF_ORDER << self._bits
         for depth in range(cap + 1):
             # the best leaf at this depth, lazily dropping split cells
             heap = heaps[depth]
-            while heap and not is_leaf[heap[0][1]]:
+            while heap and not is_leaf[heap[0] & mask]:
                 heappop(heap)
-            if heap and heap[0][0] < v_min:
+            if heap and heap[0] < v_min:
                 if not affordable:
                     return split_ids
-                v_min, cid = heap[0]
+                cid = heap[0] & mask
+                v_min = heap[0] - cid
                 self.split_leaf(cid)
                 heappop(heap)
                 affordable -= 1

@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from soobox import (
     SUITE_NAMES,
     DepthSchedule,
+    Objective,
     RunConfig,
     RunResult,
     compare_budgets,
@@ -24,12 +26,13 @@ from soobox import (
     run_algorithm,
     run_experiment,
     run_grid,
+    run_random_search,
     run_soo,
 )
 from soobox import harness
 from soobox.cli import main
 from soobox.harness import read_trace_csv, trace_csv_text
-from soobox.result import value_key
+from soobox.result import ratio_to_optimum, value_key
 
 # =============================================================================
 # Trace CSV text and the trace contract
@@ -45,6 +48,17 @@ def csv_writer_trace_text(result, f_star):
         ratio = "" if f_star in (None, 0.0) else format(value / f_star, ".17g")
         writer.writerow([index, format(value, ".17g"), ratio])
     return buf.getvalue()
+
+
+def one_join_trace_text(result, f_star):
+    """Reference: every row of the trace CSV in one list, joined once."""
+    lines = ["eval_index,best_value,ratio"]
+    for index, value in enumerate(result.trace, start=1):
+        ratio = ratio_to_optimum(value, f_star)
+        ratio_text = "" if ratio is None else format(ratio, ".17g")
+        lines.append(f"{index},{format(value, '.17g')},{ratio_text}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 TRACE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 123.456, -7.0, 1e308]
@@ -78,6 +92,16 @@ class TestTraceCsv:
     def test_real_run_bytes_equal_csv_writer(self, f_star):
         result = run_algorithm(RunConfig(function="rastrigin", dim=3, budget=2000))
         assert trace_csv_text(result, f_star) == csv_writer_trace_text(result, f_star)
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_blocks_join_as_one_join(self, rows):
+        # rows are joined per block of 4,096; a custom objective has no
+        # known optimum, so its result's f_star is None
+        objective = Objective(lambda x: float(x[0] + x[1]), [0, 0], [1, 1], rows)
+        result = run_random_search(objective, rows, 0)
+        assert result.f_star is None and result.evals_used == rows
+        for f_star in (result.f_star, -3.5):
+            assert trace_csv_text(result, f_star) == one_join_trace_text(result, f_star)
 
     def test_bad_header_rejected(self, tmp_path):
         for text in ("index,value\n1,2.0\n", ""):
@@ -339,6 +363,29 @@ class TestAtomicWrite:
             harness._atomic_write(target, "new\n")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_sliced_write_matches_one_write(self, tmp_path):
+        # over three slices, with a 4-byte character just before each
+        # slice edge and a 2-byte one just after it
+        n = harness._WRITE_CHARS
+        text = ("é" * (n - 1) + "𝄞") * 3 + "tail ü\n"
+        harness._atomic_write(tmp_path / "sliced.txt", text)
+        with open(tmp_path / "whole.txt", "x") as handle:
+            handle.write(text)
+        sliced = (tmp_path / "sliced.txt").read_bytes()
+        assert sliced == (tmp_path / "whole.txt").read_bytes()
+        assert sliced.decode() == text
+
+    def test_write_makes_no_copy_of_the_text(self, tmp_path):
+        text = "123456,0.5,\n" * (4 * 2**20 // 12)  # 4 MB, built before tracing
+        tracemalloc.start()
+        try:
+            harness._atomic_write(tmp_path / "big.csv", text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (tmp_path / "big.csv").read_text() == text
 
     def test_writers_make_missing_directories(self, tmp_path):
         out = tmp_path / "new" / "dir"

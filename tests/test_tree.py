@@ -33,7 +33,7 @@ from soobox import (
     sweep,
     transformed,
 )
-from soobox.result import value_key
+from soobox.result import INF_ORDER, value_key, value_order
 
 # =============================================================================
 # Fixtures and helpers
@@ -498,7 +498,9 @@ class TestSweep:
         twin_obj, twin = grown()
         # sweeps pop what they split, so the heaps hold leaves only
         assert all(
-            tree.cells[cid].is_leaf for h in tree._heaps.values() for _, cid in h
+            tree.cells[entry & tree._mask].is_leaf
+            for h in tree._heaps.values()
+            for entry in h
         )
         before = state(obj, tree)
         armed[0] = True
@@ -509,12 +511,69 @@ class TestSweep:
         assert sweep(tree) == sweep(twin)
         assert state(obj, tree) == state(twin_obj, twin)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_root_never_splits(self, value):
+        # A sweep starts v_min at the packed +inf, which a non-finite
+        # root's key ties; an int would always undercut a float math.inf.
+        obj = unit_objective(lambda x: value, 1, budget=50)
+        tree = new_tree((obj.lower, obj.upper), obj)
+        assert sweep(tree) == []
+        assert obj.meter == 1
+
     def test_empty_sweep_when_cap_blocks_everything(self):
         obj = linear_objective()
         params = SooParams(depth_schedule=DepthSchedule.constant(0))
         tree = new_tree((obj.lower, obj.upper), obj, params)
         assert sweep(tree) == [0]
         assert sweep(tree) == []  # only depth-1 leaves remain, cap is 0
+
+
+# =============================================================================
+# Packed heap keys
+# =============================================================================
+
+TINY, HUGE = 5e-324, sys.float_info.max
+EDGE_VALUES = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, TINY, -TINY,
+    sys.float_info.min, -sys.float_info.min, HUGE, -HUGE, 1.0, -1.0,
+]
+KEY_VALUES = st.sampled_from(EDGE_VALUES) | st.floats()
+
+
+class TestHeapKeys:
+    """A leaf's heap key, (value_order(value) << bits) | id, sorts as
+    (value_key(value), id), and its low bits are the id."""
+
+    @given(data=st.data(), s=st.sampled_from([3, 5, 7]), cap=st.integers(1, 10**7))
+    @settings(max_examples=300, deadline=None)
+    def test_keys_sort_as_value_key_then_id(self, data, s, cap):
+        obj = unit_objective(lambda x: 0.0, 1, budget=cap)
+        tree = PartitionTree(obj.lower, obj.upper, obj, SooParams(s_children=s))
+        last = s * ((cap - 1) // (s - 1))  # the last id the cap can pay for
+        ids = st.sampled_from([0, last]) | st.integers(0, last)
+        cells = data.draw(st.lists(st.tuples(KEY_VALUES, ids), min_size=1))
+        keys = [(value_order(v) << tree._bits) | cid for v, cid in cells]
+
+        by_key = sorted(range(len(cells)), key=keys.__getitem__)
+        by_value = sorted(
+            range(len(cells)), key=lambda i: (value_key(cells[i][0]), cells[i][1])
+        )
+        assert by_key == by_value
+        for key, (value, cid) in zip(keys, cells):
+            assert key & tree._mask == cid
+            assert key - cid == value_order(value) << tree._bits
+
+    @given(a=KEY_VALUES, b=KEY_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_orders_compare_as_value_keys(self, a, b):
+        assert (value_order(a) == value_order(b)) == (value_key(a) == value_key(b))
+        assert (value_order(a) < value_order(b)) == (value_key(a) < value_key(b))
+
+    def test_signed_zeros_tie_and_non_finite_values_share_inf(self):
+        assert value_order(-0.0) == value_order(0.0) == 0
+        assert value_order(-TINY) < 0 < value_order(TINY)
+        assert {value_order(v) for v in EDGE_VALUES[:4]} == {INF_ORDER}
+        assert value_order(HUGE) < INF_ORDER
 
 
 # =============================================================================
@@ -614,9 +673,11 @@ class TestRunSoo:
 
     @pytest.mark.parametrize("s", [3, 5, 7])
     def test_peak_bytes_per_evaluation(self, s):
-        # A cell stores one interval, not its D-dimensional box: this 10-D
-        # run peaks at 196-245 B per evaluation under tracemalloc (CPython
-        # 3.11, S = 7..3), where keeping each cell's box costs 431-554 B.
+        # A cell stores one interval in float columns and one packed int
+        # heap key: this 10-D run peaks at 97-123 B per evaluation under
+        # tracemalloc (CPython 3.11, S = 7..3), against 171-217 B with
+        # float lists and (value, id) tuples, and 431-554 B with each
+        # cell's box.
         obj = make_objective("sphere", 10, budget=5000)
         tracemalloc.start()
         try:
@@ -624,7 +685,7 @@ class TestRunSoo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / result.evals_used < 300
+        assert peak / result.evals_used < 150
 
     def test_integer_and_flag_columns_are_compact(self):
         # split_log, depth and leaf flag are typed columns: at most 10 B
@@ -636,6 +697,16 @@ class TestRunSoo:
         columns = (tree.split_log, tree._depth, tree._is_leaf)
         size = sum(sys.getsizeof(column) for column in columns)
         assert size / len(tree.cells) <= 10
+
+    def test_float_columns_are_compact(self):
+        # interval ends and values are array("d") columns: at most 8.5 B
+        # per cell each after a 10-D run (a list slot plus its float is 32 B).
+        obj = make_objective("sphere", 10, budget=5000)
+        tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=5000)
+        while tree.sweep():
+            pass
+        for column in (tree._lo, tree._up, tree._value):
+            assert sys.getsizeof(column) / len(tree.cells) <= 8.5
 
     def test_split_ids_are_json_ints(self):
         result = run_soo(make_objective("sphere", 3, budget=500), 500)
