@@ -372,9 +372,9 @@ class TestAtomicWrite:
         harness._atomic_write(tmp_path / "sliced.txt", text)
         with open(tmp_path / "whole.txt", "x") as handle:
             handle.write(text)
-        sliced = (tmp_path / "sliced.txt").read_bytes()
-        assert sliced == (tmp_path / "whole.txt").read_bytes()
-        assert sliced.decode() == text
+        sliced = tmp_path / "sliced.txt"
+        assert sliced.read_bytes() == (tmp_path / "whole.txt").read_bytes()
+        assert sliced.read_text() == text
 
     def test_write_makes_no_copy_of_the_text(self, tmp_path):
         text = "123456,0.5,\n" * (4 * 2**20 // 12)  # 4 MB, built before tracing
