@@ -52,11 +52,9 @@ from .tree import (
     DepthSchedule,
     PartitionTree,
     SooParams,
-    incumbent,
     max_depth,
     new_tree,
     run_soo,
-    split_leaf,
     sweep,
 )
 
@@ -90,7 +88,6 @@ __all__ = [
     "bernoulli_arms",
     "compare_budgets",
     "constant_arms",
-    "incumbent",
     "make_objective",
     "max_depth",
     "nelder_mead",
@@ -105,7 +102,6 @@ __all__ = [
     "run_ucb",
     "run_ucb_grid",
     "shift_from_seed",
-    "split_leaf",
     "suite_manifest",
     "sweep",
     "transformed",

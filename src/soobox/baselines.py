@@ -57,12 +57,6 @@ class ArmStats:
             raise ValueError(f"no arm with index {arm}")
         return arm
 
-    def mean(self, arm: int) -> float:
-        arm = self._arm(arm)
-        if self.pulls[arm] == 0:
-            raise UnpulledArm(f"arm {arm} has no observations")
-        return float(self._sums[arm] / self.pulls[arm])
-
     @property
     def means(self) -> list[float]:
         """Per-arm empirical means, NaN for arms never pulled."""
@@ -204,7 +198,7 @@ def grid_divisions(dim: int, resolution: int) -> list[int]:
     at one division, so the arm count never exceeds the cap.
     """
     check_count(resolution, "resolution", 1)
-    divisions = [1] * dim
+    divisions = [1] * check_count(dim, "dim", 1)
     total = 1
     for j in range(dim):
         if total * resolution > GRID_ARM_CAP:

@@ -44,14 +44,11 @@ _SHARED_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; the interface contract wants 1
+    # argparse exits 2 on bad flags; the interface contract wants 1, which
+    # main gives every ValueError
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_functions(text: str) -> list[str]:
@@ -179,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         check_count(args.jobs, "jobs", 1)
         fields = {k: v for k, v in vars(args).items() if k in _SHARED_FIELDS}
         configs = grid_configs(args.function, args.dim, args.algo, **fields)
-    except (_UsageError, ValueError) as err:
+    except ValueError as err:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 1

@@ -223,11 +223,16 @@ def check_shift_seed(seed) -> int:
 
 
 def check_fraction(value, name: str) -> float:
-    """Raise ValueError unless value is a real number, not a bool, in (0, 1)."""
+    """Raise ValueError unless value is a real number, not a bool, whose
+    float is in (0, 1): the float is checked, as it is what is returned."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not 0.0 < value < 1.0:
+    try:
+        fraction = float(value) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        fraction = math.nan
+    if not 0.0 < fraction < 1.0:
         raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
-    return float(value)
+    return fraction
 
 
 def check_exploration(c, name: str = "c") -> float:

@@ -112,9 +112,6 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
             raise _Stop
         return ledger.evaluate(x, x.copy())
 
-    def clip(x: Array) -> Array:
-        return np.clip(x, lower, upper)
-
     restarts = 0
     try:
         verts = _offset_simplex(x0, _INIT_SCALE, lower, upper)
@@ -147,10 +144,10 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
                     continue
 
             centroid = verts[:-1].mean(axis=0)
-            xr = clip(centroid + _ALPHA * (centroid - verts[-1]))
+            xr = np.clip(centroid + _ALPHA * (centroid - verts[-1]), lower, upper)
             fr = evaluate(xr)
             if fr < fvals[0]:
-                xe = clip(centroid + _GAMMA * (xr - centroid))
+                xe = np.clip(centroid + _GAMMA * (xr - centroid), lower, upper)
                 fe = evaluate(xe)
                 if fe < fr:
                     verts[-1] = xe
@@ -165,11 +162,11 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
                 # contract outside (toward xr) or inside (toward the worst
                 # vertex); each has its own accept test, then one shrink
                 if fr < fvals[-1]:
-                    xc = clip(centroid + _RHO * (xr - centroid))
+                    xc = np.clip(centroid + _RHO * (xr - centroid), lower, upper)
                     fc = evaluate(xc)
                     accept = fc <= fr
                 else:
-                    xc = clip(centroid - _RHO * (centroid - verts[-1]))
+                    xc = np.clip(centroid - _RHO * (centroid - verts[-1]), lower, upper)
                     fc = evaluate(xc)
                     accept = fc < fvals[-1]
                 if accept:

@@ -6,7 +6,7 @@ best-so-far value per evaluation, so entry i - 1 is the best value after
 evaluation i.  The trace is the run's evaluation ledger and the only
 place its counts live: the evaluation count is its length, the best
 value is its last entry, and the best-so-far sequence is monotone
-non-increasing under the ordering that treats non-finite values as
+non-increasing under value_key, which sorts non-finite values as
 +infinity.  A :class:`RunLedger` pays for and records a run's evaluations,
 and :meth:`RunResult.then` joins a later stage's trace to a finished run.
 """
@@ -14,7 +14,6 @@ and :meth:`RunResult.then` joins a later stage's trace to a finished run.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -31,29 +30,6 @@ from .objectives import Objective, check_count, check_type
 def value_key(value: float) -> float:
     """Comparison key for objective values: NaN and +/-inf sort last."""
     return value if math.isfinite(value) else math.inf
-
-
-_DOUBLE = struct.Struct("<d")
-_INT64 = struct.Struct("<q")
-_MAGNITUDE = 2**63 - 1
-# the order of +inf, which every non-finite value shares
-INF_ORDER = _INT64.unpack(_DOUBLE.pack(math.inf))[0]
-
-
-def value_order(value: float) -> int:
-    """An int that sorts exactly as value_key(value + 0.0) does.
-
-    A finite double's bit pattern, read as a signed 64-bit int, sorts as
-    the double for non-negative values; a negative one flips its magnitude
-    bits (-1 - magnitude), so it sorts below every non-negative pattern
-    and reverses among the negatives.  The + 0.0 turns -0.0 into 0.0, so
-    the two tie as they compare equal; every non-finite value gets
-    INF_ORDER.
-    """
-    if not math.isfinite(value):
-        return INF_ORDER
-    (bits,) = _INT64.unpack(_DOUBLE.pack(value + 0.0))
-    return bits if bits >= 0 else bits ^ _MAGNITUDE
 
 
 def ratio_to_optimum(value: float, f_star: float | None) -> float | None:

@@ -19,10 +19,10 @@ the interval (lo, up) along the dimension its parent cut, (depth - 1) % D;
 a cell's id is its position in the columns.  Its interval and value live
 in array("d") columns, and its depth, leaf flag and split log in
 array("I"), bytearray and array("q"), so no slot holds a float or int
-object.  A leaf's heap entry is one int, (order << bits) | id, where order
-is value_order(value) (result.py), which sorts as value_key does, and bits
-is the bit length of the last id the run's cap allows: keys sort by value,
-then by id, so of tied values the earliest cell comes first.  A cell's
+object.  A leaf's heap entry is one int, (_order(value) << bits) | id,
+where bits is the bit length of the last id the run's cap allows: keys
+sort by value, then by id, so of tied values the earliest cell comes
+first.  A NaN or +/-inf leaf, which no sweep splits, has none.  A cell's
 corners are rebuilt by walking its nearest min(depth, D) ancestors,
 itself included, which cut distinct dimensions, and taking the root box
 for the rest.  Its midpoint is (lower + upper) / 2 in Python floats,
@@ -42,6 +42,7 @@ are available for study.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -51,9 +52,21 @@ import numpy as np
 
 from .errors import NotALeaf, ObjectiveDegenerate
 from .objectives import Objective, check_count, check_type, checked_box
-from .result import INF_ORDER, RunLedger, RunResult, value_order
+from .result import RunLedger, RunResult
 
 Array = np.ndarray
+
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+_MAGNITUDE = 2**63 - 1
+
+
+def _order(value: float) -> int:
+    """An int that sorts as the finite double value does, -0.0 tying 0.0:
+    its bits as a signed 64-bit int, a negative one's magnitude flipped."""
+    (bits,) = _INT64.unpack(_DOUBLE.pack(value + 0.0))
+    return bits if bits >= 0 else bits ^ _MAGNITUDE
+
 
 # ---------------------------------------------------------------------------
 # depth schedules
@@ -92,21 +105,17 @@ class DepthSchedule:
     def unbounded() -> "DepthSchedule":
         return DepthSchedule("unbounded")
 
-    def limit(self, evals: int) -> float:
-        """Depth cap given the evaluation count at the start of a sweep."""
-        check_count(evals, "evals", 1)
-        if self.kind == "log32":
-            return max(1, math.floor(math.log(evals) ** 1.5))
-        if self.kind == "constant":
-            return self.value
-        return math.inf
-
 
 def max_depth(evals: int, schedule: DepthSchedule | None = None) -> float:
     """Depth cap for a sweep starting after `evals` evaluations."""
     schedule = DepthSchedule.log32() if schedule is None else schedule
     check_type(schedule, DepthSchedule, "schedule")
-    return schedule.limit(evals)
+    check_count(evals, "evals", 1)
+    if schedule.kind == "log32":
+        return max(1, math.floor(math.log(evals) ** 1.5))
+    if schedule.kind == "constant":
+        return schedule.value
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +230,8 @@ class PartitionTree:
     split dimension, parent and center are derived (see the module
     docstring).  A cell costs the same few column slots whatever D is.
 
-    Leaves are tracked per depth in min-heaps of packed int keys,
-    (value_order(value) << bits) | id, which sort as (value_key, id), so
+    Leaves with finite values are tracked per depth in min-heaps of packed
+    int keys, (_order(value) << bits) | id, which sort as (value, id), so
     each sweep touches only the depths it visits and never rescans the
     whole frontier.  A sweep pops the leaf it splits only after split_leaf
     returns; stale entries from direct split_leaf calls are dropped lazily.
@@ -269,7 +278,8 @@ class PartitionTree:
         self._value = array("d", [value])
         self._depth = array("I", [0])
         self._is_leaf = bytearray([True])
-        self._heaps: dict[int, list[int]] = {0: [value_order(value) << self._bits]}
+        root = [_order(value) << self._bits] if math.isfinite(value) else []
+        self._heaps: dict[int, list[int]] = {0: root}
 
     # -- evaluation plumbing ------------------------------------------------
 
@@ -333,7 +343,8 @@ class PartitionTree:
         untouched.  Returns the child ids in order.
         """
         n = len(self._value)
-        if not 0 <= leaf_id < n:
+        leaf_id = check_count(leaf_id, "leaf_id", 0)
+        if leaf_id >= n:
             raise ValueError(f"no cell with id {leaf_id}")
         if not self._is_leaf[leaf_id]:
             raise NotALeaf(f"cell {leaf_id} was already split")
@@ -373,7 +384,8 @@ class PartitionTree:
         # heaps grow last: of the orders measured, this left the lowest peak RSS
         heap, bits = self._heaps.setdefault(depth + 1, []), self._bits
         for cid, value in enumerate(values, start=n):
-            heappush(heap, (value_order(value) << bits) | cid)
+            if math.isfinite(value):
+                heappush(heap, (_order(value) << bits) | cid)
         return list(range(n, n + s))
 
     def sweep(self) -> list[int]:
@@ -388,16 +400,14 @@ class PartitionTree:
         run's cap, and returns the splits already made: [] when it could
         afford none.  It raises no BudgetExhausted of its own.
         """
-        cap = min(
-            self.max_leaf_depth,
-            self.params.depth_schedule.limit(self.eval_count),
-        )
+        schedule = self.params.depth_schedule
+        cap = min(self.max_leaf_depth, max_depth(self.eval_count, schedule))
         affordable = self.trace.left // (self.params.s_children - 1)
         heaps, is_leaf, mask = self._heaps, self._is_leaf, self._mask
         split_ids: list[int] = []
         # keys compare by order first, so a key undercuts v_min iff its
-        # value does; a non-finite best leaf never undercuts the start
-        v_min = INF_ORDER << self._bits
+        # value does; every key undercuts the start
+        v_min = math.inf
         for depth in range(cap + 1):
             # the best leaf at this depth, lazily dropping split cells
             heap = heaps[depth]
@@ -443,16 +453,8 @@ def new_tree(
     return PartitionTree(lower, upper, objective, params)
 
 
-def split_leaf(tree: PartitionTree, leaf_id: int) -> list[int]:
-    return tree.split_leaf(leaf_id)
-
-
 def sweep(tree: PartitionTree) -> list[int]:
     return tree.sweep()
-
-
-def incumbent(tree: PartitionTree) -> tuple[Array, float, int]:
-    return tree.incumbent()
 
 
 def run_soo(

@@ -16,8 +16,9 @@ loop length.  A dimension, an arm count, a horizon or a budget that sets
 a run's length gets only small integers: a valid 10**18 there is a
 request for that much memory or time, not a bad argument.
 
-Out of scope: callables (objective functions, reward sources), cell ids
-and new_tree's space tuple.
+Out of scope: callables (objective functions, reward sources) and
+new_tree's space tuple.  A cell id is fuzzed on a tree with its own
+objective, whose root is metered.
 """
 
 import math
@@ -54,6 +55,7 @@ from soobox import (
     transformed,
     ucb_select,
 )
+from soobox.baselines import grid_divisions
 
 SCALARS = [
     0, 1, 2, 3, 4, 5, -1, -3,
@@ -98,6 +100,14 @@ def _played_stats():
     stats.update(0, 0.3)
     stats.update(1, 0.6)
     return stats
+
+
+def _split_tree():
+    # its own objective: the root and the first split are metered
+    objective = make_objective("sphere", 2, budget=50)
+    tree = PartitionTree(objective.lower, objective.upper, objective)
+    tree.split_leaf(0)
+    return tree
 
 
 def _finished_run():
@@ -187,7 +197,11 @@ CALLS = [
     ("run_ucb-c", ANY, lambda v, obj: run_ucb(constant_arms([1.0, 2.0]), 5, v)),
     ("ArmStats", SMALL, lambda v, obj: ArmStats(v)),
     ("ArmStats.update-arm", ANY, lambda v, obj: _played_stats().update(v, 1.0)),
-    ("ArmStats.mean-arm", ANY, lambda v, obj: _played_stats().mean(v)),
+    (
+        "PartitionTree.split_leaf-leaf_id", ANY,
+        lambda v, obj: _split_tree().split_leaf(v),
+    ),
+    ("grid_divisions-dim", SMALL, lambda v, obj: grid_divisions(v, 3)),
     ("ucb_select-c", ANY, lambda v, obj: ucb_select(_played_stats(), v)),
     ("ucb_select-stats", SMALL, lambda v, obj: ucb_select(v)),
     ("bernoulli_arms-seed", ANY, lambda v, obj: bernoulli_arms([0.5], v)),

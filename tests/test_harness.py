@@ -9,10 +9,11 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from soobox import (
@@ -21,6 +22,7 @@ from soobox import (
     Objective,
     RunConfig,
     RunResult,
+    SooParams,
     compare_budgets,
     make_objective,
     run_algorithm,
@@ -28,6 +30,7 @@ from soobox import (
     run_grid,
     run_random_search,
     run_soo,
+    run_ucb_grid,
 )
 from soobox import harness
 from soobox.cli import main
@@ -249,6 +252,9 @@ class TestRunConfig:
             # a non-number is a ValueError too, not a TypeError
             ("exploration", "2"),
             ("refine_fraction", "0.5"),
+            # inside (0, 1), but the stored float would be 0.0 or 1.0
+            ("refine_fraction", Fraction(1, 10**400)),
+            ("refine_fraction", Fraction(10**400 - 1, 10**400)),
             # a string is not a tuple of formats, nor None a bool
             ("formats", "csv"),
             ("cec_budget", None),
@@ -461,6 +467,42 @@ class TestDeterminism:
         short = run_soo(make_objective("sphere", 2, budget=500), 500)
         long = run_soo(make_objective("sphere", 2, budget=2000), 2000)
         assert long.trace[: len(short.trace)] == short.trace
+
+    @given(
+        algorithm=st.sampled_from([3, 5, "random", "ucb-grid"]),
+        function=st.sampled_from(SUITE_NAMES),
+        dim=st.sampled_from([1, 2, 5]),
+        budgets=st.lists(st.integers(1, 400), min_size=2, max_size=2, unique=True),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_budget_prefix_for_every_optimizer(
+        self, algorithm, function, dim, budgets, seed
+    ):
+        # a run at budget b is the first part of the run at B > b; an int
+        # algorithm is soo's S
+        assume(function != "rosenbrock" or dim > 1)
+        b, big = sorted(budgets)
+
+        def run(budget):
+            objective = make_objective(function, dim, budget)
+            if algorithm == "random":
+                return run_random_search(objective, budget, seed)
+            if algorithm == "ucb-grid":
+                return run_ucb_grid(objective, budget)
+            return run_soo(objective, budget, SooParams(s_children=algorithm))
+
+        short, long = run(b), run(big)
+        assert short.trace == long.trace[: len(short.trace)]
+        assert short.split_ids == long.split_ids[: len(short.split_ids)]
+        if algorithm in ("random", "ucb-grid"):
+            assert short.evals_used == b
+        else:
+            # whole splits of S - 1 after the root, unless the run at B
+            # stagnated first
+            s = algorithm
+            paid = 1 + (s - 1) * ((b - 1) // (s - 1))
+            assert short.evals_used == min(paid, long.evals_used)
 
     def test_wall_clock_gate_10d(self):
         # Loose performance regression check, far under the 60 s limit on

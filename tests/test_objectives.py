@@ -602,6 +602,14 @@ def _pulled_arms():
     return stats
 
 
+def _split_tree():
+    """A 2-D sphere tree after one split: cells 0 (split) to 3 (leaves)."""
+    objective = make_objective("sphere", 2, budget=50)
+    tree = PartitionTree(objective.lower, objective.upper, objective)
+    tree.split_leaf(0)
+    return tree
+
+
 # calls on a fresh 2-D objective: every count passed in must be an
 # integer at or above its floor, checked before any evaluation
 BAD_COUNTS = [
@@ -617,6 +625,10 @@ BAD_COUNTS = [
     pytest.param(lambda obj: nelder_mead(obj, [0.0, 0.0], 7.5), id="nm-max-evals"),
     pytest.param(lambda obj: refine_budget_split(10.5, 0.1), id="refine-split-total"),
     pytest.param(lambda obj: grid_divisions(2, 2.5), id="grid-resolution"),
+    pytest.param(lambda obj: grid_divisions(-1, 3), id="grid-dim-negative"),
+    pytest.param(lambda obj: grid_divisions(0, 3), id="grid-dim-zero"),
+    pytest.param(lambda obj: grid_divisions(True, 3), id="grid-dim-bool"),
+    pytest.param(lambda obj: grid_divisions(2.5, 3), id="grid-dim-float"),
     pytest.param(lambda obj: ArmStats(2.0), id="n-arms"),
     pytest.param(lambda obj: run_ucb(constant_arms([1.0, 2.0]), 3.5), id="ucb-horizon"),
     pytest.param(lambda obj: SooParams(s_children=3.0), id="s-children"),
@@ -639,9 +651,13 @@ BAD_COUNTS = [
     # an arm id is a count from 0 below the number of arms
     pytest.param(lambda obj: _pulled_arms().update(True, 1.0), id="arm-update-bool"),
     pytest.param(lambda obj: _pulled_arms().update(1.5, 1.0), id="arm-update-float"),
-    pytest.param(lambda obj: _pulled_arms().mean(1.5), id="arm-mean-float"),
-    pytest.param(lambda obj: _pulled_arms().mean(-1), id="arm-mean-negative"),
-    pytest.param(lambda obj: _pulled_arms().mean(2), id="arm-mean-past-last"),
+    pytest.param(lambda obj: _pulled_arms().update(-1, 1.0), id="arm-update-negative"),
+    pytest.param(lambda obj: _pulled_arms().update(2, 1.0), id="arm-update-past-last"),
+    # a cell id is a count from 0 below the number of cells; the tree has
+    # its own objective, as its root is metered
+    pytest.param(lambda obj: _split_tree().split_leaf(True), id="leaf-id-bool"),
+    pytest.param(lambda obj: _split_tree().split_leaf(1.5), id="leaf-id-float"),
+    pytest.param(lambda obj: _split_tree().split_leaf("0"), id="leaf-id-string"),
     # not a count, but refused at construction all the same
     pytest.param(
         lambda obj: run_soo(obj, 20, SooParams(depth_schedule="log32")),

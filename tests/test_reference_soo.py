@@ -19,6 +19,7 @@ from soobox import (
     Objective,
     ObjectiveDegenerate,
     SooParams,
+    max_depth,
     run_soo,
 )
 
@@ -35,7 +36,8 @@ def reference_soo(objective, budget, s, schedule):
                   depth=0, dim=0, leaf=True)]
     evals, splits = 1, []
     while True:
-        cap = min(max(c["depth"] for c in cells if c["leaf"]), schedule.limit(evals))
+        leaf_depth = max(c["depth"] for c in cells if c["leaf"])
+        cap = min(leaf_depth, max_depth(evals, schedule))
         v_min, split_now = math.inf, 0
         for depth in range(int(cap) + 1):
             leaves = [i for i, c in enumerate(cells) if c["leaf"] and c["depth"] == depth]

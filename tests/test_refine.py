@@ -1,6 +1,7 @@
 """Tests for the simplex refiner and the hybrid global+local driver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +301,14 @@ class TestBudgetSplit:
             refine_budget_split(100, 1.0)
         with pytest.raises(ValueError):
             refine_budget_split(0, 0.5)
+
+    @pytest.mark.parametrize(
+        "fraction", [Fraction(1, 10**400), Fraction(10**400 - 1, 10**400)]
+    )
+    def test_fraction_that_rounds_onto_the_boundary_rejected(self, fraction):
+        # inside (0, 1) as a Fraction, but its float is 0.0 or 1.0
+        with pytest.raises(ValueError):
+            refine_budget_split(1000, fraction)
 
 
 # =============================================================================

@@ -24,16 +24,15 @@ from soobox import (
     ObjectiveDegenerate,
     PartitionTree,
     SooParams,
-    incumbent,
     make_objective,
     max_depth,
     new_tree,
     run_soo,
-    split_leaf,
     sweep,
     transformed,
 )
-from soobox.result import INF_ORDER, value_key, value_order
+from soobox.result import value_key
+from soobox.tree import _order
 
 # =============================================================================
 # Fixtures and helpers
@@ -83,7 +82,7 @@ class TestCellGeometry:
     def test_split_cuts_exact_thirds(self):
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         kids = [tree.cells[i] for i in ids]
         assert [c.lower[0] for c in kids] == [0.0, 1 / 3, 2 / 3]
         assert [c.upper[0] for c in kids] == [1 / 3, 2 / 3, 1.0]
@@ -91,7 +90,7 @@ class TestCellGeometry:
     def test_adjacent_children_share_exact_edges(self):
         obj = make_objective("sphere", 3, budget=100)
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         a, b, c = (tree.cells[i] for i in ids)
         d = 0
         assert a.upper[d] == b.lower[d]
@@ -104,7 +103,7 @@ class TestCellGeometry:
         # can differ in the last ulp; the tree must copy, not recompute.
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         middle = tree.cells[ids[1]]
         parent = tree.cells[0]
         assert np.array_equal(middle.center, parent.center)
@@ -113,25 +112,25 @@ class TestCellGeometry:
     def test_split_costs_two_evaluations(self):
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         assert tree.eval_count == 3
         assert obj.meter == 3
 
     def test_split_dim_cycles(self):
         obj = unit_objective(lambda x: 0.0, 3)
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         assert all(tree.cells[i].split_dim == 1 for i in ids)
-        ids2 = split_leaf(tree, ids[0])
+        ids2 = tree.split_leaf(ids[0])
         assert all(tree.cells[i].split_dim == 2 for i in ids2)
-        ids3 = split_leaf(tree, ids2[0])
+        ids3 = tree.split_leaf(ids2[0])
         assert all(tree.cells[i].split_dim == 0 for i in ids3)
 
     def test_five_children_when_requested(self):
         obj = linear_objective()
         params = SooParams(s_children=5)
         tree = new_tree((obj.lower, obj.upper), obj, params)
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         assert len(ids) == 5
         assert tree.eval_count == 1 + 4
         middle = tree.cells[ids[2]]
@@ -140,7 +139,7 @@ class TestCellGeometry:
     def test_depth_one_cell_sizes(self):
         obj = make_objective("sphere", 2, budget=100)
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         child = tree.cells[ids[0]]
         widths = child.upper - child.lower
         assert widths[0] == pytest.approx(10.0 / 3.0, rel=1e-15)
@@ -153,7 +152,7 @@ class TestCellViews:
     def test_views_are_read_only(self):
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         cell = tree.cells[1]
         for row in (cell.lower, cell.upper, cell.center):
             with pytest.raises(ValueError):
@@ -166,7 +165,7 @@ class TestCellViews:
     def test_sequence_protocol(self):
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         cells = tree.cells
         assert len(cells) == 4
         assert [c.id for c in cells] == [0, 1, 2, 3]
@@ -181,7 +180,7 @@ class TestCellViews:
         # the leaf flags are bytes; a view reports a real bool
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         assert tree.cells[0].is_leaf is False
         assert tree.cells[1].is_leaf is True
 
@@ -190,12 +189,12 @@ class TestCellViews:
         # keep reading the same boxes.
         obj = make_objective("sphere", 2, budget=10**6)
         tree = new_tree((obj.lower, obj.upper), obj)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         first = tree.cells[1]
         before = first.lower.copy()
         cid = 1
         while len(tree.cells) < 5000:
-            split_leaf(tree, cid)
+            tree.split_leaf(cid)
             cid += 1
         assert np.array_equal(first.lower, before)
         assert np.array_equal(tree.cells[1].lower, before)
@@ -236,15 +235,15 @@ class TestTreeValidation:
     def test_splitting_a_non_leaf_rejected(self):
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         with pytest.raises(NotALeaf):
-            split_leaf(tree, 0)
+            tree.split_leaf(0)
 
     def test_unknown_cell_id_rejected(self):
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
         with pytest.raises(ValueError):
-            split_leaf(tree, 99)
+            tree.split_leaf(99)
 
     @pytest.mark.parametrize("s", [3, 5])
     def test_failed_split_changes_nothing(self, s):
@@ -262,14 +261,14 @@ class TestTreeValidation:
         obj = unit_objective(fn, 2)
         tree = new_tree((obj.lower, obj.upper), obj, SooParams(s_children=s))
         with pytest.raises(RuntimeError):
-            split_leaf(tree, 0)
+            tree.split_leaf(0)
         assert obj.meter == tree.eval_count == len(tree.trace.entries) == 1
         assert len(tree.cells) == 1
         assert tree.cells[0].is_leaf
         assert tree.max_leaf_depth == 0
         assert len(tree.split_log) == 0
 
-        ids = split_leaf(tree, 0)
+        ids = tree.split_leaf(0)
         assert ids == list(range(1, s + 1))
         assert len(tree.cells) == 1 + s
         assert obj.meter == tree.eval_count == len(tree.trace.entries) == s
@@ -279,7 +278,7 @@ class TestTreeValidation:
         obj = linear_objective(budget=2)
         tree = new_tree((obj.lower, obj.upper), obj)
         with pytest.raises(BudgetExhausted):
-            split_leaf(tree, 0)
+            tree.split_leaf(0)
         assert len(tree.cells) == 1
         assert tree.cells[0].is_leaf
         assert tree.eval_count == 1
@@ -293,12 +292,12 @@ class TestTreeValidation:
         # after one split 1 evaluation is left, short of a split's 2
         obj = linear_objective(budget=objective_budget)
         tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=eval_budget)
-        split_leaf(tree, 0)
+        tree.split_leaf(0)
         assert tree.trace.cap == 4
         assert tree.trace.left == 1
         trace = list(tree.trace.entries)
         with pytest.raises(BudgetExhausted):
-            split_leaf(tree, 1)
+            tree.split_leaf(1)
         assert len(tree.cells) == 4
         assert all(cell.is_leaf for cell in tree.cells[1:])
         assert tree.trace.entries == trace
@@ -332,7 +331,7 @@ class TestDepthSchedules:
             while (t_k := int(mp.ceil(mp.exp(mp.mpf(k) ** (mp.mpf(2) / 3))))) <= 10**9:
                 for t in range(t_k - 2, t_k + 3):
                     expected = max(1, int(mp.floor(mp.log(t) ** mp.mpf(1.5))))
-                    assert schedule.limit(t) == expected, (k, t)
+                    assert max_depth(t, schedule) == expected, (k, t)
                     checked += 1
                 k += 1
         assert (k - 1, checked) == (94, 470)
@@ -401,7 +400,7 @@ class TestSweep:
         middle_id = next(
             c.id for c in tree.leaves() if c.depth == 1 and c.value == 1.0
         )
-        split_leaf(tree, middle_id)  # manual: depth-2 leaves 0.7, 1.0, 0.9
+        tree.split_leaf(middle_id)  # manual: depth-2 leaves 0.7, 1.0, 0.9
         low_id = next(
             c.id for c in tree.leaves() if c.depth == 1 and c.value == 0.4
         )
@@ -418,7 +417,7 @@ class TestSweep:
         obj = scripted_objective({}, default=1.0)
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        split_leaf(tree, next(c.id for c in tree.leaves() if c.depth == 1))
+        tree.split_leaf(next(c.id for c in tree.leaves() if c.depth == 1))
         split_ids = sweep(tree)
         assert len(split_ids) == 1
         assert tree.cells[split_ids[0]].depth == 1
@@ -513,8 +512,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_root_never_splits(self, value):
-        # A sweep starts v_min at the packed +inf, which a non-finite
-        # root's key ties; an int would always undercut a float math.inf.
+        # A non-finite root has no heap entry, so the first sweep finds
+        # nothing to split.
         obj = unit_objective(lambda x: value, 1, budget=50)
         tree = new_tree((obj.lower, obj.upper), obj)
         assert sweep(tree) == []
@@ -534,15 +533,17 @@ class TestSweep:
 
 TINY, HUGE = 5e-324, sys.float_info.max
 EDGE_VALUES = [
-    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, TINY, -TINY,
-    sys.float_info.min, -sys.float_info.min, HUGE, -HUGE, 1.0, -1.0,
+    0.0, -0.0, TINY, -TINY, sys.float_info.min, -sys.float_info.min,
+    HUGE, -HUGE, 1.0, -1.0,
 ]
-KEY_VALUES = st.sampled_from(EDGE_VALUES) | st.floats()
+KEY_VALUES = st.sampled_from(EDGE_VALUES) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
 
 
 class TestHeapKeys:
-    """A leaf's heap key, (value_order(value) << bits) | id, sorts as
-    (value_key(value), id), and its low bits are the id."""
+    """A finite leaf's heap key, (_order(value) << bits) | id, sorts as
+    (value, id), and its low bits are the id; a non-finite leaf has none."""
 
     @given(data=st.data(), s=st.sampled_from([3, 5, 7]), cap=st.integers(1, 10**7))
     @settings(max_examples=300, deadline=None)
@@ -552,28 +553,42 @@ class TestHeapKeys:
         last = s * ((cap - 1) // (s - 1))  # the last id the cap can pay for
         ids = st.sampled_from([0, last]) | st.integers(0, last)
         cells = data.draw(st.lists(st.tuples(KEY_VALUES, ids), min_size=1))
-        keys = [(value_order(v) << tree._bits) | cid for v, cid in cells]
+        keys = [(_order(v) << tree._bits) | cid for v, cid in cells]
 
         by_key = sorted(range(len(cells)), key=keys.__getitem__)
-        by_value = sorted(
-            range(len(cells)), key=lambda i: (value_key(cells[i][0]), cells[i][1])
-        )
+        by_value = sorted(range(len(cells)), key=cells.__getitem__)  # (value, id)
         assert by_key == by_value
         for key, (value, cid) in zip(keys, cells):
             assert key & tree._mask == cid
-            assert key - cid == value_order(value) << tree._bits
+            assert key - cid == _order(value) << tree._bits
 
     @given(a=KEY_VALUES, b=KEY_VALUES)
     @settings(max_examples=300, deadline=None)
     def test_orders_compare_as_value_keys(self, a, b):
-        assert (value_order(a) == value_order(b)) == (value_key(a) == value_key(b))
-        assert (value_order(a) < value_order(b)) == (value_key(a) < value_key(b))
+        assert (_order(a) == _order(b)) == (a == b)
+        assert (_order(a) < _order(b)) == (a < b)
 
-    def test_signed_zeros_tie_and_non_finite_values_share_inf(self):
-        assert value_order(-0.0) == value_order(0.0) == 0
-        assert value_order(-TINY) < 0 < value_order(TINY)
-        assert {value_order(v) for v in EDGE_VALUES[:4]} == {INF_ORDER}
-        assert value_order(HUGE) < INF_ORDER
+    def test_signed_zeros_tie(self):
+        assert _order(-0.0) == _order(0.0) == 0
+        assert _order(-TINY) < 0 < _order(TINY)
+        assert _order(-HUGE) < _order(HUGE)
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_non_finite_leaves_get_no_heap_entry(self, s):
+        # NaN on the left half of the box: a sweep never splits a NaN leaf,
+        # so none may hold a slot in a depth heap
+        def fn(x):
+            return math.nan if x[0] < 0.5 else float(x[0])
+
+        obj = unit_objective(fn, 1, budget=200)
+        tree = PartitionTree(obj.lower, obj.upper, obj, SooParams(s_children=s))
+        while tree.sweep():
+            pass
+        assert tree.eval_count > 100
+        assert any(math.isnan(leaf.value) for leaf in tree.leaves())
+        entries = [key & tree._mask for heap in tree._heaps.values() for key in heap]
+        assert entries
+        assert [cid for cid in entries if not math.isfinite(tree._value[cid])] == []
 
 
 # =============================================================================
@@ -586,7 +601,7 @@ class TestIncumbent:
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        point, value, cid = incumbent(tree)
+        point, value, cid = tree.incumbent()
         assert value == min(c.value for c in tree.cells)
         assert point[0] == pytest.approx(1 / 6)
         assert tree.cells[cid].value == value
@@ -595,7 +610,7 @@ class TestIncumbent:
         obj = scripted_objective({}, default=3.0)
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        _, value, cid = incumbent(tree)
+        _, value, cid = tree.incumbent()
         assert value == 3.0
         assert cid == 0  # the root paid for this value first
 
@@ -606,7 +621,7 @@ class TestIncumbent:
         obj = unit_objective(fn, 1)
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        _, value, _ = incumbent(tree)
+        _, value, _ = tree.incumbent()
         assert math.isfinite(value)
         assert value == 0.5
 
@@ -917,7 +932,7 @@ class TestGeometryReplay:
         mid = (s - 1) // 2
         cid = 0
         for _ in range(chain):
-            cid = split_leaf(tree, cid)[mid]
+            cid = tree.split_leaf(cid)[mid]
         while tree.eval_count < budget + chain * (s - 1):
             try:
                 if not sweep(tree):
@@ -941,7 +956,7 @@ class TestGeometryReplay:
 
         keys = [value_key(cell["value"]) for cell in cells]
         best = keys.index(min(keys))
-        point, value, best_id = incumbent(tree)
+        point, value, best_id = tree.incumbent()
         assert best_id == best
         assert _bits(value) == _bits(cells[best]["value"])
         assert point.tobytes() == cells[best]["center"].tobytes()
