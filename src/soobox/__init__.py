@@ -11,7 +11,6 @@ from .baselines import (
     ArmStats,
     UcbRun,
     bernoulli_arms,
-    constant_arms,
     run_random_search,
     run_ucb,
     run_ucb_grid,
@@ -87,7 +86,6 @@ __all__ = [
     "UnpulledArm",
     "bernoulli_arms",
     "compare_budgets",
-    "constant_arms",
     "make_objective",
     "max_depth",
     "nelder_mead",

@@ -1,10 +1,10 @@
 """Bandit machinery and naive comparators.
 
 Upper-confidence-bound selection over a finite arm set, a fixed-horizon
-bandit runner with a simple-regret recommendation, uniform random search
-over a box, and a discretized-domain bandit that treats grid-cell centers
-as arms.  The last two pay for evaluations through a RunLedger, as the
-partition optimizer does, so the harness can compare them head to head.
+bandit runner, uniform random search over a box, and a discretized-domain
+bandit that treats grid-cell centers as arms.  The last two pay for
+evaluations through a RunLedger, as the partition optimizer does, so the
+harness can compare them head to head.
 """
 
 from __future__ import annotations
@@ -107,20 +107,11 @@ def next_arm(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
 
 @dataclass
 class UcbRun:
-    """History of one bandit run plus the final recommendation.
-
-    The recommendation is the arm with the highest empirical mean at the
-    horizon (ties to the smallest index), the usual convention when
-    minimizing simple regret rather than cumulative regret.
-    """
+    """One bandit run: its (arm, reward) history, one entry per round, and
+    its arm statistics at the horizon (stats.pulls, stats.means)."""
 
     history: list[tuple[int, float]]
     stats: ArmStats = field(repr=False)
-
-    @property
-    def recommendation(self) -> int:
-        # max keeps the first of equal means, and nothing beats a NaN first mean
-        return max(range(self.stats.n_arms), key=self.stats.means.__getitem__)
 
 
 def run_ucb(
@@ -158,10 +149,6 @@ def bernoulli_arms(
         rng = np.random.default_rng(child)
         arms.append(lambda p=p, rng=rng: 1.0 if rng.random() < p else 0.0)
     return arms
-
-
-def constant_arms(values: Sequence[float]) -> list[Callable[[], float]]:
-    return [lambda v=float(v): v for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -200,25 +200,6 @@ def trace_csv_text(result: RunResult, f_star: float | None) -> str:
     return "".join(blocks)
 
 
-def read_trace_csv(path: Path) -> list[float]:
-    """Parse a trace file back to its best-so-far values, one per evaluation.
-
-    Raises ValueError when the file does not start with the trace header,
-    and when a row is blank, short, or not numbered 1..n in order.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        if header[:2] != ["eval_index", "best_value"]:
-            raise ValueError(f"{path} is not a trace file: header {header!r}")
-        values = []
-        for pos, row in enumerate(reader, start=1):
-            if len(row) < 2 or row[0] != str(pos):
-                raise ValueError(f"{path} row {pos} is not evaluation {pos}: {row!r}")
-            values.append(float(row[1]))
-        return values
-
-
 def _config_echo(config: RunConfig) -> dict:
     echo = dataclasses.asdict(config)
     echo["output_dir"] = (
@@ -287,13 +268,11 @@ class GridSummary:
     algorithms: list[str]
     cells: dict[tuple[str, int, str], float | str]
 
-    def column_labels(self) -> list[str]:
-        return [f"{algo}_{dim}d" for dim in self.dims for algo in self.algorithms]
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["function"] + self.column_labels())
+        labels = [f"{algo}_{dim}d" for dim in self.dims for algo in self.algorithms]
+        writer.writerow(["function"] + labels)
         for function in self.functions:
             row: list[str] = [function]
             for dim in self.dims:

@@ -6,7 +6,8 @@ base function with ``g(0) = 0`` exactly, ``shift`` places the optimum at a
 reproducible interior point, and ``bias`` is 100 times the function's
 1-based position in the suite.  The shift is drawn from a fixed 64-bit
 linear congruential generator so that any two builds of this package, on
-any platform, produce bit-identical problem instances from the same seed.
+any platform, produce bit-identical shifts from the same seed.  Not every
+value is portable: see the note above the base functions.
 
 All optimizers consume objectives through :class:`Objective`, which meters
 every evaluation against a hard budget and rejects points outside the box.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -101,6 +102,13 @@ def shift_from_seed(seed: int, dim: int) -> Array:
 # which differ in the last bit on some inputs.  Reductions are ndarray
 # methods (z.sum(axis=1), not np.sum(z, axis=1)): the same ufunc reduce,
 # without np.sum's Python-level dispatch.
+#
+# That identity holds on one machine; the values are not bit-identical
+# across machines.  np.vecdot calls OpenBLAS ddot, whose summation order
+# depends on the kernel OpenBLAS picks for the CPU, so _sphere, _ellipsoid
+# and _composite3 can differ in the last bit between CPUs.  The golden
+# fixture and the bench digests are pinned on an AVX-512 kernel; ROADMAP.md
+# item 11 takes the sums off BLAS.
 
 _E = math.exp(1.0)
 
@@ -202,8 +210,9 @@ def check_count(
     through this one check, so none is truncated or rounded, and a bool is
     rejected, not read as 0 or 1; a bad dimension raises BadDimension.  The
     sibling checkers below own the other argument rules: check_shift_seed,
-    check_fraction, check_exploration and check_type.  All but check_type
-    return the plain int or float they accepted, never a numpy scalar."""
+    check_real, check_fraction, check_exploration and check_type.  All but
+    check_type return the plain int or float they accepted, never a numpy
+    scalar."""
     # a plain int first: the numbers.Integral check is several times
     # slower, and ArmStats checks the arm index of every UCB pull
     integer = type(value) is int or (
@@ -222,14 +231,21 @@ def check_shift_seed(seed) -> int:
     return int(seed)
 
 
+def check_real(value, name: str) -> float:
+    """value as a float; ValueError unless it is a real number, not a bool,
+    within the float range (NaN and +/-inf are real numbers here)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_fraction(value, name: str) -> float:
-    """Raise ValueError unless value is a real number, not a bool, whose
-    float is in (0, 1): the float is checked, as it is what is returned."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        fraction = float(value) if real else math.nan
-    except OverflowError:  # an int or Fraction beyond the float range
-        fraction = math.nan
+    """Raise ValueError unless value is a real number whose float is in
+    (0, 1): the float is checked, as it is what is returned."""
+    fraction = check_real(value, name)
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
     return fraction
@@ -312,6 +328,8 @@ class Objective:
 
     Its metadata is name, optimum_point and optimum_value; the last two
     are None unless the instance knows its optimum, as suite objectives do.
+    fn must be callable, vectorized a bool and optimum_value a real number
+    (stored as a float), or ValueError is raised at construction.
     """
 
     def __init__(
@@ -328,6 +346,8 @@ class Objective:
     ):
         lower, upper = checked_box(lower, upper)
         self.budget = check_count(budget, "budget", 0)
+        check_type(fn, Callable, "fn")
+        check_type(vectorized, bool, "vectorized")
         self._fn = fn if vectorized else _row_loop(fn)
         self.lower = lower
         self.upper = upper
@@ -341,6 +361,8 @@ class Objective:
             if optimum_point.shape != lower.shape:
                 raise ValueError(f"optimum_point must have dimension {lower.size}")
         self.optimum_point = optimum_point
+        if optimum_value is not None:
+            optimum_value = check_real(optimum_value, "optimum_value")
         self.optimum_value = optimum_value
 
     @property
@@ -482,6 +504,7 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
     through g; the argmin is unchanged.
     """
     check_type(objective, Objective, "objective")
+    check_type(g, Callable, "g")
     base_fn = objective._fn
 
     def fn(points: Array) -> list[float]:
@@ -489,7 +512,7 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
 
     opt_val = None
     if objective.optimum_value is not None:
-        opt_val = float(g(objective.optimum_value))
+        opt_val = g(objective.optimum_value)
     return Objective(
         fn,
         objective.lower.copy(),

@@ -177,10 +177,6 @@ class Cell:
         return self._tree._depth[self.id]
 
     @property
-    def split_dim(self) -> int:
-        return self.depth % self._tree.dim
-
-    @property
     def parent(self) -> int | None:
         return self._tree._parent_id(self.id)
 
@@ -434,10 +430,6 @@ class PartitionTree:
         """
         cid = self.trace.incumbent
         return _frozen(self._box(cid)[2]), self._value[cid], cid
-
-    def leaves(self):
-        """Views of the current leaves, in id order."""
-        return (Cell(self, i) for i in range(len(self._value)) if self._is_leaf[i])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ loop length.  A dimension, an arm count, a horizon or a budget that sets
 a run's length gets only small integers: a valid 10**18 there is a
 request for that much memory or time, not a bad argument.
 
-Out of scope: callables (objective functions, reward sources) and
+An objective function or transform is fuzzed too, and an Objective's
+vectorized flag and optimum_value.  Out of scope: reward sources and
 new_tree's space tuple.  A cell id is fuzzed on a tree with its own
 objective, whose root is metered.
 """
@@ -39,7 +40,6 @@ from soobox import (
     SooParams,
     bernoulli_arms,
     compare_budgets,
-    constant_arms,
     make_objective,
     max_depth,
     nelder_mead,
@@ -110,6 +110,13 @@ def _split_tree():
     return tree
 
 
+def _flagged(vectorized):
+    # a block function for vectorized=True and a per-point one otherwise,
+    # so a bool flag evaluates, and any other flag must be refused
+    fn = (lambda block: block.sum(axis=1)) if vectorized is True else math.fsum
+    return Objective(fn, [0.0], [1.0], 5, vectorized=vectorized)
+
+
 def _finished_run():
     return run_soo(make_objective("sphere", 2, budget=25), 20)
 
@@ -154,7 +161,23 @@ CALLS = [
         "Objective-optimum_point", COORDS,
         lambda v, obj: Objective(np.sum, [0.0, 0.0], [1.0, 1.0], 5, optimum_point=v),
     ),
+    # each is used after construction, where a bad value used to raise TypeError
+    (
+        "Objective-fn", SMALL,
+        lambda v, obj: Objective(v, [0.0], [1.0], 5).evaluate([0.5]),
+    ),
+    ("Objective-vectorized", SMALL, lambda v, obj: _flagged(v).evaluate([0.5])),
+    (
+        "Objective-optimum_value", ANY,
+        lambda v, obj: run_random_search(
+            Objective(math.fsum, [0.0], [1.0], 1, optimum_value=v), 1, 0
+        ).ratio,
+    ),
     ("transformed-objective", SMALL, lambda v, obj: transformed(v, abs, "abs")),
+    (
+        "transformed-g", SMALL,
+        lambda v, obj: transformed(obj, v, "g").evaluate([0.5, 0.5]),
+    ),
     ("evaluate", COORDS, lambda v, obj: obj.evaluate(v)),
     ("evaluate_batch", COORDS, lambda v, obj: obj.evaluate_batch(v)),
     ("Objective.raw", COORDS, lambda v, obj: obj.raw(v)),
@@ -193,8 +216,8 @@ CALLS = [
     ("run_ucb_grid-budget", ANY, lambda v, obj: run_ucb_grid(obj, v)),
     ("run_ucb_grid-resolution", ANY, lambda v, obj: run_ucb_grid(obj, 10, v)),
     ("run_ucb_grid-c", ANY, lambda v, obj: run_ucb_grid(obj, 10, 2, v)),
-    ("run_ucb-horizon", SMALL, lambda v, obj: run_ucb(constant_arms([1.0, 2.0]), v)),
-    ("run_ucb-c", ANY, lambda v, obj: run_ucb(constant_arms([1.0, 2.0]), 5, v)),
+    ("run_ucb-horizon", SMALL, lambda v, obj: run_ucb([lambda: 1.0, lambda: 2.0], v)),
+    ("run_ucb-c", ANY, lambda v, obj: run_ucb([lambda: 1.0, lambda: 2.0], 5, v)),
     ("ArmStats", SMALL, lambda v, obj: ArmStats(v)),
     ("ArmStats.update-arm", ANY, lambda v, obj: _played_stats().update(v, 1.0)),
     (

@@ -23,7 +23,6 @@ from soobox import (
     SooParams,
     UnknownFunction,
     bernoulli_arms,
-    constant_arms,
     make_objective,
     max_depth,
     nelder_mead,
@@ -580,6 +579,11 @@ class TestObjectiveValidation:
             call(obj)
         assert obj.meter == 0
 
+    def test_optimum_value_stored_as_float(self):
+        for value, expected in ((np.int64(3), 3.0), (np.float32(0.5), 0.5), (2, 2.0)):
+            obj = Objective(np.sum, [0.0], [1.0], 1, optimum_value=value)
+            assert type(obj.optimum_value) is float and obj.optimum_value == expected
+
     def test_shift_outside_box_rejected(self):
         # NaN fails both comparisons with the box, so it must not pass as inside
         # (and a shift of the wrong length is rejected the same way)
@@ -630,7 +634,9 @@ BAD_COUNTS = [
     pytest.param(lambda obj: grid_divisions(True, 3), id="grid-dim-bool"),
     pytest.param(lambda obj: grid_divisions(2.5, 3), id="grid-dim-float"),
     pytest.param(lambda obj: ArmStats(2.0), id="n-arms"),
-    pytest.param(lambda obj: run_ucb(constant_arms([1.0, 2.0]), 3.5), id="ucb-horizon"),
+    pytest.param(
+        lambda obj: run_ucb([lambda: 1.0, lambda: 2.0], 3.5), id="ucb-horizon"
+    ),
     pytest.param(lambda obj: SooParams(s_children=3.0), id="s-children"),
     pytest.param(lambda obj: DepthSchedule.constant(2.7), id="constant-depth"),
     pytest.param(lambda obj: DepthSchedule("constant", 2.7), id="constant-depth-direct"),

@@ -57,6 +57,11 @@ def scripted_objective(table, default=5.0, dim=1, budget=10**6):
     return unit_objective(fn, dim, budget)
 
 
+def leaves(tree):
+    """Views of the tree's current leaves, in id order."""
+    return [cell for cell in tree.cells if cell.is_leaf]
+
+
 def linear_objective(dim=1, budget=10**6):
     return unit_objective(lambda x: float(x[0]), dim, budget)
 
@@ -74,7 +79,6 @@ class TestCellGeometry:
         tree = new_tree((obj.lower, obj.upper), obj)
         root = tree.cells[0]
         assert root.depth == 0
-        assert root.split_dim == 0
         assert np.array_equal(root.center, [0.5, 0.5])
         assert tree.eval_count == 1
         assert obj.meter == 1
@@ -117,14 +121,19 @@ class TestCellGeometry:
         assert obj.meter == 3
 
     def test_split_dim_cycles(self):
+        # a split cuts dimension depth % D of its leaf: each child's box
+        # differs from its parent's along that dimension alone
         obj = unit_objective(lambda x: 0.0, 3)
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = tree.split_leaf(0)
-        assert all(tree.cells[i].split_dim == 1 for i in ids)
-        ids2 = tree.split_leaf(ids[0])
-        assert all(tree.cells[i].split_dim == 2 for i in ids2)
-        ids3 = tree.split_leaf(ids2[0])
-        assert all(tree.cells[i].split_dim == 0 for i in ids3)
+        cid = 0
+        for d in (0, 1, 2, 0):
+            parent = tree.cells[cid]
+            assert parent.depth % 3 == d
+            ids = tree.split_leaf(cid)
+            for child in (tree.cells[i] for i in ids):
+                moved = (child.lower != parent.lower) | (child.upper != parent.upper)
+                assert np.flatnonzero(moved).tolist() == [d]
+            cid = ids[0]
 
     def test_five_children_when_requested(self):
         obj = linear_objective()
@@ -147,7 +156,7 @@ class TestCellGeometry:
 
 
 class TestCellViews:
-    """tree.cells and leaves() are read-only views over the tree's storage."""
+    """tree.cells are read-only views over the tree's storage."""
 
     def test_views_are_read_only(self):
         obj = linear_objective()
@@ -173,7 +182,7 @@ class TestCellViews:
         assert cells[-1].id == 3
         with pytest.raises(IndexError):
             cells[4]
-        assert [c.id for c in tree.leaves()] == [1, 2, 3]
+        assert [c.id for c in leaves(tree)] == [1, 2, 3]
         assert cells[2].parent == 0 and cells[0].parent is None
 
     def test_is_leaf_is_a_bool(self):
@@ -208,7 +217,7 @@ class TestCellViews:
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
         list(tree.cells)
-        list(tree.leaves())
+        leaves(tree)
         ref = weakref.ref(tree)
         gc.disable()
         try:
@@ -372,7 +381,7 @@ class TestSweep:
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
         assert sweep(tree) == [0]
-        values = sorted(c.value for c in tree.leaves())
+        values = sorted(c.value for c in leaves(tree))
         assert values == pytest.approx([1 / 6, 1 / 2, 5 / 6])
 
     def test_second_sweep_splits_best_depth_one_leaf(self):
@@ -398,16 +407,16 @@ class TestSweep:
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)  # root -> depth-1 leaves 0.4, 1.0, 2.0
         middle_id = next(
-            c.id for c in tree.leaves() if c.depth == 1 and c.value == 1.0
+            c.id for c in leaves(tree) if c.depth == 1 and c.value == 1.0
         )
         tree.split_leaf(middle_id)  # manual: depth-2 leaves 0.7, 1.0, 0.9
         low_id = next(
-            c.id for c in tree.leaves() if c.depth == 1 and c.value == 0.4
+            c.id for c in leaves(tree) if c.depth == 1 and c.value == 0.4
         )
         split_ids = sweep(tree)
         assert split_ids == [low_id]
         best_deep = min(
-            c.value for c in tree.leaves() if c.depth == 2 and c.value == 0.7
+            c.value for c in leaves(tree) if c.depth == 2 and c.value == 0.7
         )
         assert best_deep == 0.7  # still a leaf, untouched
 
@@ -417,7 +426,7 @@ class TestSweep:
         obj = scripted_objective({}, default=1.0)
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        tree.split_leaf(next(c.id for c in tree.leaves() if c.depth == 1))
+        tree.split_leaf(next(c.id for c in leaves(tree) if c.depth == 1))
         split_ids = sweep(tree)
         assert len(split_ids) == 1
         assert tree.cells[split_ids[0]].depth == 1
@@ -464,7 +473,7 @@ class TestSweep:
         assert len(split_ids) == 1
         assert tree.cells[split_ids[0]].depth == 1
         assert obj.meter == 7
-        deep_best = min(c.value for c in tree.leaves() if c.depth == 2)
+        deep_best = min(c.value for c in leaves(tree) if c.depth == 2)
         assert deep_best < tree.cells[split_ids[0]].value  # would have split
 
     @pytest.mark.parametrize("s", [3, 5])
@@ -585,7 +594,7 @@ class TestHeapKeys:
         while tree.sweep():
             pass
         assert tree.eval_count > 100
-        assert any(math.isnan(leaf.value) for leaf in tree.leaves())
+        assert any(math.isnan(leaf.value) for leaf in leaves(tree))
         entries = [key & tree._mask for heap in tree._heaps.values() for key in heap]
         assert entries
         assert [cid for cid in entries if not math.isfinite(tree._value[cid])] == []
@@ -787,13 +796,13 @@ class TestPartitionProperties:
         for _ in range(n_sweeps):
             sweep(tree)
 
-        leaves = list(tree.leaves())
-        total = sum(c.volume for c in leaves)
+        cells = leaves(tree)
+        total = sum(c.volume for c in cells)
         assert total == pytest.approx(tree.cells[0].volume, rel=1e-12)
 
         # interiors are pairwise disjoint: strict overlap in every dim
-        for i, a in enumerate(leaves):
-            for b in leaves[i + 1:]:
+        for i, a in enumerate(cells):
+            for b in cells[i + 1:]:
                 overlaps = np.all((a.lower < b.upper) & (b.lower < a.upper))
                 assert not overlaps
 
@@ -812,12 +821,12 @@ class TestPartitionProperties:
         tree = new_tree((lo, hi), obj, SooParams(depth_schedule=DepthSchedule.unbounded()))
         for _ in range(4):
             sweep(tree)
-        for cell in tree.leaves():
+        for cell in leaves(tree):
             splits_per_dim = [0] * dim
             node = cell
             while node.parent is not None:
                 parent = tree.cells[node.parent]
-                splits_per_dim[parent.split_dim] += 1
+                splits_per_dim[parent.depth % dim] += 1
                 node = parent
             for j in range(dim):
                 expected = 3.0 ** (-splits_per_dim[j])
@@ -949,7 +958,7 @@ class TestGeometryReplay:
             assert view.upper.tobytes() == cell["upper"].tobytes()
             assert view.center.tobytes() == cell["center"].tobytes()
             assert view.parent == cell["parent"]
-            assert view.split_dim == cell["split_dim"]
+            assert view.depth % tree.dim == cell["split_dim"]
             assert view.depth == cell["depth"]
             assert _bits(view.value) == _bits(cell["value"])
             assert view.is_leaf == (view.id not in split)
