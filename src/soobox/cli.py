@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--suite-manifest",
         action="store_true",
-        help="print the suite manifest as JSON and exit",
+        help="print the suite manifest of each --dim (default 2) as JSON and exit",
     )
     return parser
 
@@ -165,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
 
         if args.suite_manifest:
-            dim = args.dim[0] if args.dim else 2
-            print(json.dumps(suite_manifest(dim), indent=2))
+            entries = [entry for dim in args.dim or [2] for entry in suite_manifest(dim)]
+            print(json.dumps(entries, indent=2))
             return 0
 
         if not args.function:

@@ -252,11 +252,12 @@ def check_fraction(value, name: str) -> float:
 
 
 def check_exploration(c, name: str = "c") -> float:
-    """Raise ValueError unless c is a real number, not a bool, in [0, max float]."""
-    real = isinstance(c, numbers.Real) and not isinstance(c, bool)
-    if not real or not 0.0 <= c <= sys.float_info.max:
+    """Raise ValueError unless c is a real number whose float is in
+    [0, max float]: the float is checked, as it is what is returned."""
+    value = check_real(c, name)
+    if not 0.0 <= value <= sys.float_info.max:
         raise ValueError(f"{name} must be finite and >= 0, got {c!r}")
-    return float(c)
+    return value
 
 
 def check_type(value, kind: type, name: str) -> None:
@@ -450,36 +451,15 @@ def suite_f_star(name: str) -> float:
     return BIAS_STEP * (SUITE_NAMES.index(name) + 1)
 
 
-def make_objective(
-    name: str,
-    dim: int,
-    budget: int,
-    *,
-    shift=None,
-    shift_seed: int = 0,
-) -> Objective:
-    """Build a suite instance on [-5, 5]^dim with the given budget.
-
-    shift may be a vector, a scalar (broadcast to every coordinate), or
-    None to derive it from shift_seed.  The shift is copied, and every
-    coordinate must lie strictly inside the box (NaN does not), which the
-    seeded range [-2, 2) guarantees by construction.
-    """
+def make_objective(name: str, dim: int, budget: int, *, shift_seed: int = 0) -> Objective:
+    """Build a suite instance on [-5, 5]^dim with the given budget, its
+    optimum at shift_from_seed(shift_seed, dim), inside [-2, 2)^dim."""
     bias = suite_f_star(name)
     g, min_dim = _BASE[name]
     check_count(dim, f"{name} dim", min_dim, BadDimension)
-    if shift is None:
-        shift_vec = shift_from_seed(shift_seed, dim)
-    else:
-        shift_vec = as_floats(shift, "shift").copy()
-        if shift_vec.ndim == 0:
-            shift_vec = np.full(dim, float(shift_vec))
-        elif shift_vec.shape != (dim,):
-            raise ValueError(f"shift must be scalar or length {dim}")
+    shift_vec = shift_from_seed(shift_seed, dim)
     lower = np.full(dim, -BOX_HALF_WIDTH)
     upper = np.full(dim, BOX_HALF_WIDTH)
-    if not (np.all(lower < shift_vec) and np.all(shift_vec < upper)):
-        raise ValueError("shift must lie strictly inside the box")
 
     def fn(points: Array) -> Array:
         return bias + g(points - shift_vec)

@@ -46,18 +46,13 @@ _RESTART_SCALE = 0.1
 
 @dataclass
 class NmResult:
-    """Best point found, its best-so-far trace, and exit flags; value and
-    evals_used are read from the trace (its last entry and its length)."""
+    """Best point found, its best-so-far trace, and exit flags; the best
+    value is the trace's last entry, and evals_used its length."""
 
     point: Array
     trace: list[float]
     budget_exhausted: bool = False
     restarts: int = 0
-
-    @property
-    def value(self) -> float:
-        """The best value found: the last trace entry."""
-        return self.trace[-1]
 
     @property
     def evals_used(self) -> int:

@@ -7,8 +7,11 @@ evaluation i.  The trace is the run's evaluation ledger and the only
 place its counts live: the evaluation count is its length, the best
 value is its last entry, and the best-so-far sequence is monotone
 non-increasing under value_key, which sorts non-finite values as
-+infinity.  A :class:`RunLedger` pays for and records a run's evaluations,
-and :meth:`RunResult.then` joins a later stage's trace to a finished run.
++infinity.  A :class:`TraceRecorder` keeps the trace and the place of its
+best value, its incumbent, which moves exactly when a recorded value
+improves on it.  A :class:`RunLedger` pays for and records a run's
+evaluations, and :meth:`RunResult.then` joins a later stage's trace to a
+finished run.
 """
 
 from __future__ import annotations
@@ -42,11 +45,11 @@ def ratio_to_optimum(value: float, f_star: float | None) -> float | None:
 class TraceRecorder:
     """Accumulates the per-evaluation best-so-far trace and its incumbent.
 
-    ``record(value, at)`` returns True when value strictly improves the
-    incumbent (ties keep the earlier one), and then ``incumbent`` becomes
-    ``at``, where value was observed (a point, a cell id).  The first value
-    always counts, even a NaN, so ``incumbent`` is None exactly when
-    nothing has been recorded.
+    When ``record(value, at)``'s value strictly improves the incumbent
+    (ties keep the earlier one), ``incumbent`` becomes ``at``, where value
+    was observed (a point, a cell id).  The first value always counts,
+    even a NaN, so ``incumbent`` is None exactly when nothing has been
+    recorded.
     """
 
     __slots__ = ("entries", "incumbent", "_best_key", "_best_raw")
@@ -57,15 +60,13 @@ class TraceRecorder:
         self._best_key = None  # None: nothing recorded yet
         self._best_raw = math.nan
 
-    def record(self, value: float, at) -> bool:
+    def record(self, value: float, at) -> None:
         key = value_key(value)
-        improved = self._best_key is None or key < self._best_key
-        if improved:
+        if self._best_key is None or key < self._best_key:
             self._best_key = key
             self._best_raw = float(value)
             self.incumbent = at
         self.entries.append(self._best_raw)
-        return improved
 
     def extend(self, values, at) -> None:
         """Record each value in turn, with at's matching item."""

@@ -26,12 +26,12 @@ first.  A NaN or +/-inf leaf, which no sweep splits, has none.  A cell's
 corners are rebuilt by walking its nearest min(depth, D) ancestors,
 itself included, which cut distinct dimensions, and taking the root box
 for the rest.  Its midpoint is (lower + upper) / 2 in Python floats,
-bit-identical to the same numpy arithmetic.  Two per-cell fields are
-derived rather than stored: the split dimension is depth % D, and the
-parent of cell id > 0 is split_log[(id - 1) // S], since the k-th split
-appends children 1 + k*S .. (k + 1)*S.  A middle child
-((id - 1) % S == (S - 1) // 2) is never evaluated at its own midpoint: its
-center is the point of the nearest ancestor that paid for its value.
+bit-identical to the same numpy arithmetic.  The split dimension is
+depth % D, and the walk finds each parent at split_log[(id - 1) // S],
+since the k-th split appends children 1 + k*S .. (k + 1)*S.  A split
+evaluates its S - 1 fresh children at their midpoints, the leaf's
+midpoint with the split coordinate replaced; the middle child keeps the
+leaf's value unevaluated.
 
 The per-sweep depth cap follows max(1, floor((ln t)^(3/2))) with t the
 number of evaluations consumed when the sweep starts, so the tree may
@@ -143,7 +143,8 @@ class SooParams:
 
 
 class Cell:
-    """Read-only view of one box of the partition, evaluated at its center.
+    """Read-only view of one box of the partition: its corners, value,
+    depth, leaf flag and volume.
 
     Each box array is built fresh from the tree's interval log on access
     and is read-only.  A view holds its tree; the tree never holds a view.
@@ -164,21 +165,12 @@ class Cell:
         return _frozen(self._tree._box(self.id)[1])
 
     @property
-    def center(self) -> Array:
-        """The point this cell's value was evaluated at."""
-        return _frozen(self._tree._box(self._tree._paid_id(self.id))[2])
-
-    @property
     def value(self) -> float:
         return self._tree._value[self.id]
 
     @property
     def depth(self) -> int:
         return self._tree._depth[self.id]
-
-    @property
-    def parent(self) -> int | None:
-        return self._tree._parent_id(self.id)
 
     @property
     def is_leaf(self) -> bool:
@@ -222,9 +214,9 @@ class PartitionTree:
 
     Cells live in an interval log: per-cell columns of the interval along
     the dimension the parent cut, value, depth and leaf flag, plus the
-    root box stored once; a cell's id is its index, and its corners,
-    split dimension, parent and center are derived (see the module
-    docstring).  A cell costs the same few column slots whatever D is.
+    root box stored once; a cell's id is its index, and its corners are
+    derived (see the module docstring).  A cell costs the same few column
+    slots whatever D is.
 
     Leaves with finite values are tracked per depth in min-heaps of packed
     int keys, (_order(value) << bits) | id, which sort as (value, id), so
@@ -257,7 +249,6 @@ class PartitionTree:
         self.dim = lower.size
         self.split_log = array("q")
         s = self.params.s_children
-        self._mid = (s - 1) // 2
         # heap keys are (order << bits) | id: bits hold the last id the cap allows
         self._bits = (s * ((self.trace.cap - 1) // (s - 1))).bit_length()
         self._mask = (1 << self._bits) - 1
@@ -291,21 +282,6 @@ class PartitionTree:
         """Depth of the deepest leaf: a depth's heap is created by the first
         split that commits children there, so the depths are 0..len - 1."""
         return len(self._heaps) - 1
-
-    def _parent_id(self, cell_id: int) -> int | None:
-        if cell_id == 0:
-            return None
-        return self.split_log[(cell_id - 1) // self.params.s_children]
-
-    def _paid_id(self, cell_id: int) -> int:
-        """The cell whose center a cell's value was evaluated at.
-
-        A middle child reuses its parent's point, so walk up through
-        middle children to the nearest ancestor that paid an evaluation.
-        """
-        while cell_id and (cell_id - 1) % self.params.s_children == self._mid:
-            cell_id = self._parent_id(cell_id)
-        return cell_id
 
     def _box(self, cell_id: int) -> tuple[list[float], list[float], list[float]]:
         """A cell's lower corner, upper corner and midpoint, as fresh lists:
@@ -358,8 +334,8 @@ class PartitionTree:
         step = (up_d - lo_d) / s
         edges = [lo_d, *[lo_d + k * step for k in range(1, s)], up_d]
         # Center reuse: the middle slab is not evaluated; it keeps the
-        # parent's value (and, through _paid_id, the parent's point).
-        mid = self._mid
+        # parent's value.
+        mid = (s - 1) // 2
         points, fresh_ids = [], []
         for k in range(s):
             if k != mid:

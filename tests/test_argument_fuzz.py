@@ -145,7 +145,6 @@ CALLS = [
     ("make_objective-name", SMALL, lambda v, obj: make_objective(v, 2, 10)),
     ("make_objective-dim", SMALL, lambda v, obj: make_objective("sphere", v, 10)),
     ("make_objective-budget", ANY, lambda v, obj: make_objective("sphere", 2, v)),
-    ("make_objective-shift", COORDS, lambda v, obj: make_objective("sphere", 2, 10, shift=v)),
     (
         "make_objective-shift-seed", ANY,
         lambda v, obj: make_objective("sphere", 2, 10, shift_seed=v),

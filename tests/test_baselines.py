@@ -21,6 +21,7 @@ from soobox import (
     ucb_select,
 )
 from soobox.baselines import grid_divisions
+from soobox.objectives import check_exploration
 from soobox.result import TraceRecorder
 
 # =============================================================================
@@ -132,6 +133,15 @@ class TestUcbSelect:
         with pytest.raises(ValueError, match="c must be finite and >= 0"):
             run_ucb_grid(obj, 4, c=c)
         assert obj.meter == 0
+
+
+    def test_constant_beyond_the_float_range_is_not_a_real_number(self):
+        # an int whose float would overflow fails check_real's rule, with
+        # its message, before the range check
+        with pytest.raises(ValueError, match="c must be a real number"):
+            check_exploration(10**400)
+        with pytest.raises(ValueError, match="c must be a real number"):
+            ucb_select(stats_from([(0.3, 1)]), 10**400)
 
 
 def reference_ucb_select(stats, c):

@@ -31,6 +31,7 @@ from soobox import (
     run_random_search,
     run_soo,
     run_ucb_grid,
+    suite_manifest,
 )
 from soobox import harness
 from soobox.cli import main
@@ -228,6 +229,8 @@ class TestRunConfig:
             # a string is not a tuple of formats, nor None a bool
             ("formats", "csv"),
             ("cec_budget", None),
+            # an int beyond the float range is not a real number
+            ("exploration", 10**400),
         ],
     )
     def test_invalid_field_raises_at_construction(self, name, value):
@@ -754,6 +757,16 @@ class TestCli:
         manifest = json.loads(capsys.readouterr().out)
         assert len(manifest) == 8
         assert manifest[0]["dim"] == 3
+
+    def test_suite_manifest_lists_every_dim(self, capsys):
+        # each listed dimension's entries, in order, in one JSON list; one
+        # dimension prints exactly its suite_manifest
+        assert main(["--suite-manifest", "--dim", "1,3"]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert [entry["dim"] for entry in manifest] == [1] * 7 + [3] * 8
+        assert manifest == suite_manifest(1) + suite_manifest(3)
+        assert main(["--suite-manifest", "--dim", "3"]) == 0
+        assert capsys.readouterr().out == json.dumps(suite_manifest(3), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv, code", CLI_EXIT_CODES)
     def test_exit_code(self, argv, code, capsys):

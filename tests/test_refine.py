@@ -75,9 +75,13 @@ class TestTraceRecorder:
     def test_record(self, first, values, improved, entries):
         # first, when given, is recorded at place -1 before values
         rec = TraceRecorder()
+        # a value improves exactly when the incumbent moves to its place
         if first is not None:
-            assert rec.record(first, -1)
-        assert [rec.record(v, at) for at, v in enumerate(values)] == improved
+            rec.record(first, -1)
+            assert rec.incumbent == -1
+        for at, (v, better) in enumerate(zip(values, improved)):
+            rec.record(v, at)
+            assert (rec.incumbent == at) is better
         # repr tells NaN, inf and the sign of zero apart exactly
         skip = 0 if first is None else 1
         assert [repr(v) for v in rec.entries[skip:]] == [repr(v) for v in entries]
@@ -124,7 +128,10 @@ class TestTraceRecorder:
         if first is not None:
             one_by_one.record(first, -1)
             extended.record(first, -1)
-        improved = [one_by_one.record(v, at) for at, v in enumerate(values)]
+        improved = []
+        for at, v in enumerate(values):
+            one_by_one.record(v, at)
+            improved.append(one_by_one.incumbent == at)
         extended.extend(values, range(len(values)))
         # the incumbent leaves the first value's place only when a value
         # improves, and is None only while nothing has been recorded
@@ -141,24 +148,28 @@ class TestTraceRecorder:
 
 class TestNelderMead:
     def test_shifted_sphere_converges(self):
-        obj = make_objective("sphere", 2, budget=300, shift=[0.2, 0.2])
+        # a sphere with its optimum placed at (0.2, 0.2), value 100
+        def fn(x):
+            return 100.0 + float(np.sum((x - 0.2) ** 2))
+
+        obj = Objective(fn, np.full(2, -5.0), np.full(2, 5.0), budget=300)
         result = nelder_mead(obj, [0.5, 0.5], max_evals=200)
-        assert result.value - 100.0 <= 1e-8
-        assert result.value >= 100.0
+        assert result.trace[-1] - 100.0 <= 1e-8
+        assert result.trace[-1] >= 100.0
         assert not result.budget_exhausted
 
     def test_starting_at_optimum_cannot_get_worse(self):
         obj = make_objective("rastrigin", 2, budget=300)
         x_star, f_star = obj.optimum_point, obj.optimum_value
         result = nelder_mead(obj, x_star, max_evals=100)
-        assert result.value == f_star
+        assert result.trace[-1] == f_star
 
     def test_result_never_exceeds_start_value(self):
         obj = make_objective("ackley", 3, budget=200)
         x0 = np.array([2.0, -1.0, 3.0])
         f0 = obj.raw(x0)
         result = nelder_mead(obj, x0, max_evals=150)
-        assert result.value <= f0
+        assert result.trace[-1] <= f0
 
     def test_budget_floor_evaluates_initial_simplex_only(self):
         obj = make_objective("sphere", 3, budget=100)
@@ -197,14 +208,14 @@ class TestNelderMead:
         assert result.evals_used == len(seen)
         for x in seen:
             assert np.all(x >= -5.0) and np.all(x <= 5.0)
-        assert result.value <= 1e-6
+        assert result.trace[-1] <= 1e-6
 
     def test_objective_exhaustion_flagged_not_raised(self):
         obj = make_objective("sphere", 2, budget=10)
         result = nelder_mead(obj, [1.0, 1.0], max_evals=50)
         assert result.budget_exhausted
         assert result.evals_used == 10
-        assert math.isfinite(result.value)
+        assert math.isfinite(result.trace[-1])
 
     @pytest.mark.parametrize("budget, exhausted", [(30, False), (29, True)])
     def test_cap_is_the_lesser_of_max_evals_and_the_objective(self, budget, exhausted):
@@ -229,7 +240,7 @@ class TestNelderMead:
         obj = Objective(fn, np.full(2, -5.0), np.full(2, 5.0), budget=4000)
         result = nelder_mead(obj, [3.0, -3.0], max_evals=3000)
         assert result.restarts == 1
-        assert result.value == pytest.approx(1.0, abs=1e-6)
+        assert result.trace[-1] == pytest.approx(1.0, abs=1e-6)
         assert result.point[0] == pytest.approx(-5.0, abs=1e-7)
 
     @given(
@@ -248,7 +259,7 @@ class TestNelderMead:
         obj = Objective(fn, np.full(2, -5.0), np.full(2, 5.0), budget=10**4)
         start = np.array([x0, y0])
         result = nelder_mead(obj, start, max_evals=200)
-        assert result.value <= fn(start) + 1e-15
+        assert result.trace[-1] <= fn(start) + 1e-15
         assert np.all(result.point >= -5.0) and np.all(result.point <= 5.0)
 
 
@@ -351,7 +362,7 @@ class TestRefineRun:
             start = obj.optimum_point + 0.3 / math.sqrt(dim)
             assert obj.raw(start) - obj.optimum_value <= 1.0
             result = nelder_mead(obj, start, max_evals=100 * dim)
-            assert result.value - obj.optimum_value <= 1e-6
+            assert result.trace[-1] - obj.optimum_value <= 1e-6
 
     def test_fraction_validated(self):
         obj = make_objective("sphere", 2, budget=100)

@@ -66,6 +66,32 @@ def linear_objective(dim=1, budget=10**6):
     return unit_objective(lambda x: float(x[0]), dim, budget)
 
 
+def recording(fn, points):
+    """fn, appending a copy of each point it receives to points: an oracle
+    of where the tree evaluates."""
+
+    def recorded(x):
+        points.append(x.copy())
+        return fn(x)
+
+    return recorded
+
+
+def parent_links(tree):
+    """{child id: parent id} for every later split of tree, taken from the
+    child ids split_leaf returns (a sweep splits through split_leaf)."""
+    parents = {}
+    split = tree.split_leaf
+
+    def recorded(leaf_id):
+        ids = split(leaf_id)
+        parents.update(dict.fromkeys(ids, leaf_id))
+        return ids
+
+    tree.split_leaf = recorded
+    return parents
+
+
 # =============================================================================
 # Cell geometry
 # =============================================================================
@@ -75,11 +101,12 @@ class TestCellGeometry:
     """Boxes, centers, and the S-way slab construction."""
 
     def test_root_covers_box_and_costs_one_eval(self):
-        obj = unit_objective(lambda x: 0.0, 2)
+        points = []
+        obj = unit_objective(recording(lambda x: 0.0, points), 2)
         tree = new_tree((obj.lower, obj.upper), obj)
         root = tree.cells[0]
         assert root.depth == 0
-        assert np.array_equal(root.center, [0.5, 0.5])
+        assert [p.tolist() for p in points] == [[0.5, 0.5]]
         assert tree.eval_count == 1
         assert obj.meter == 1
 
@@ -103,15 +130,28 @@ class TestCellGeometry:
         assert c.upper[d] == tree.cells[0].upper[d]
 
     def test_middle_child_reuses_parent_center_bit_exact(self):
-        # The midpoint of the middle slab recomputed from its own bounds
-        # can differ in the last ulp; the tree must copy, not recompute.
-        obj = linear_objective()
+        # The middle slab is not evaluated: it keeps the leaf's value bit
+        # for bit, and a split's S - 1 recorded points are the leaf's
+        # midpoint with coordinate depth % D replaced by each outer slab's.
+        points = []
+        obj = unit_objective(recording(lambda x: float(x[0] + 2.0 * x[1]), points), 2)
         tree = new_tree((obj.lower, obj.upper), obj)
-        ids = tree.split_leaf(0)
-        middle = tree.cells[ids[1]]
-        parent = tree.cells[0]
-        assert np.array_equal(middle.center, parent.center)
-        assert middle.value == parent.value
+        cid = 0
+        for depth in range(4):
+            parent = tree.cells[cid]
+            d = depth % 2
+            before = len(points)
+            ids = tree.split_leaf(cid)
+            fresh = points[before:]
+            assert len(fresh) == 2
+            for k, point in zip((0, 2), fresh):
+                child = tree.cells[ids[k]]
+                expected = (parent.lower + parent.upper) / 2.0
+                expected[d] = (child.lower[d] + child.upper[d]) / 2.0
+                assert point.tobytes() == expected.tobytes()
+            middle = tree.cells[ids[1]]
+            assert _bits(middle.value) == _bits(parent.value)
+            cid = ids[1]
 
     def test_split_costs_two_evaluations(self):
         obj = linear_objective()
@@ -163,7 +203,7 @@ class TestCellViews:
         tree = new_tree((obj.lower, obj.upper), obj)
         tree.split_leaf(0)
         cell = tree.cells[1]
-        for row in (cell.lower, cell.upper, cell.center):
+        for row in (cell.lower, cell.upper):
             with pytest.raises(ValueError):
                 row[0] = 0.25
         with pytest.raises(AttributeError):
@@ -183,7 +223,6 @@ class TestCellViews:
         with pytest.raises(IndexError):
             cells[4]
         assert [c.id for c in leaves(tree)] == [1, 2, 3]
-        assert cells[2].parent == 0 and cells[0].parent is None
 
     def test_is_leaf_is_a_bool(self):
         # the leaf flags are bytes; a view reports a real bool
@@ -198,6 +237,7 @@ class TestCellViews:
         # keep reading the same boxes.
         obj = make_objective("sphere", 2, budget=10**6)
         tree = new_tree((obj.lower, obj.upper), obj)
+        parents = parent_links(tree)
         tree.split_leaf(0)
         first = tree.cells[1]
         before = first.lower.copy()
@@ -208,7 +248,7 @@ class TestCellViews:
         assert np.array_equal(first.lower, before)
         assert np.array_equal(tree.cells[1].lower, before)
         child = tree.cells[4999]
-        parent = tree.cells[child.parent]
+        parent = tree.cells[parents[4999]]
         assert np.all(parent.lower <= child.lower)
         assert np.all(child.upper <= parent.upper)
 
@@ -819,15 +859,17 @@ class TestPartitionProperties:
         lo, hi = np.zeros(dim), np.full(dim, 1.0)
         obj = _hash_objective(dim, lo, hi, salt)
         tree = new_tree((lo, hi), obj, SooParams(depth_schedule=DepthSchedule.unbounded()))
+        parents = parent_links(tree)
         for _ in range(4):
             sweep(tree)
         for cell in leaves(tree):
             splits_per_dim = [0] * dim
             node = cell
-            while node.parent is not None:
-                parent = tree.cells[node.parent]
+            while node.id in parents:
+                parent = tree.cells[parents[node.id]]
                 splits_per_dim[parent.depth % dim] += 1
                 node = parent
+            assert node.id == 0
             for j in range(dim):
                 expected = 3.0 ** (-splits_per_dim[j])
                 width = cell.upper[j] - cell.lower[j]
@@ -836,10 +878,12 @@ class TestPartitionProperties:
     def test_parent_links_consistent(self):
         obj = make_objective("ackley", 2, budget=500)
         result_tree = new_tree((obj.lower, obj.upper), obj)
+        parents = parent_links(result_tree)
         for _ in range(10):
             sweep(result_tree)
+        assert sorted(parents) == list(range(1, len(result_tree.cells)))
         for cell in result_tree.cells[1:]:
-            parent = result_tree.cells[cell.parent]
+            parent = result_tree.cells[parents[cell.id]]
             assert parent.depth == cell.depth - 1
             assert not parent.is_leaf
             assert np.all(parent.lower <= cell.lower)
@@ -852,19 +896,22 @@ class TestPartitionProperties:
 
 
 def replay_geometry(lower, upper, s, split_ids, fn):
-    """Every cell rebuilt from the split log with per-cell arrays.
+    """Every cell rebuilt from the split log with per-cell arrays, and the
+    points evaluated, in order.
 
     Independent of the tree's storage: each child's box is a copy of its
     parent's with the split dimension cut at lo + k * step (outer edges
     reset to the parent's), its center is (lo + up) / 2, except for the
-    middle child, which takes its parent's center and value.  The split
-    dimension cycles from 0 and parents come from the log.
+    middle child, which takes its parent's center and value and is not
+    evaluated.  The split dimension cycles from 0 and parents come from
+    the log.
     """
     dim = lower.size
     mid = (s - 1) // 2
     center = (lower + upper) / 2.0
-    cells = [dict(lower=lower, upper=upper, center=center, parent=None,
-                  split_dim=0, depth=0, value=float(fn(center)))]
+    cells = [dict(lower=lower, upper=upper, center=center, split_dim=0,
+                  depth=0, value=float(fn(center)))]
+    evaluated = [center]
     for leaf in split_ids:
         p = cells[leaf]
         d = p["split_dim"]
@@ -879,17 +926,18 @@ def replay_geometry(lower, upper, s, split_ids, fn):
             else:
                 c = (lo + up) / 2.0
                 v = float(fn(c))
-            cells.append(dict(lower=lo, upper=up, center=c, parent=leaf,
+                evaluated.append(c)
+            cells.append(dict(lower=lo, upper=up, center=c,
                               split_dim=(d + 1) % dim, depth=p["depth"] + 1,
                               value=v))
-    return cells
+    return cells, evaluated
 
 
 def _bits(value):
     return struct.pack("<d", value)
 
 
-def _crc_objective(lo, hi, salt, levels, nan_level):
+def _crc_fn(salt, levels, nan_level):
     """Stateless values from a CRC of the point's bytes: few levels, so
     many ties, and one level may be NaN."""
 
@@ -897,11 +945,12 @@ def _crc_objective(lo, hi, salt, levels, nan_level):
         level = zlib.crc32(np.asarray(x, dtype=float).tobytes(), salt) % levels
         return math.nan if level == nan_level else float(level)
 
-    return Objective(fn, lo, hi, budget=10**6)
+    return fn
 
 
 class TestGeometryReplay:
-    """The tree's derived fields and middle-child centers match the replay."""
+    """The tree's boxes, depths, values, leaf flags and evaluated points
+    match the replay."""
 
     @given(
         s=st.sampled_from([3, 5, 7]),
@@ -931,7 +980,8 @@ class TestGeometryReplay:
         else:
             lo = np.full(dim, corner)
             hi = lo + np.array(widths[:dim])
-        obj = _crc_objective(lo, hi, salt, levels, nan_level)
+        fn, points = _crc_fn(salt, levels, nan_level), []
+        obj = Objective(recording(fn, points), lo, hi, budget=10**6)
         tree = new_tree((lo, hi), obj, SooParams(s_children=s))
         # a forced chain of nested middle children, then sweeps to budget;
         # a chain past 2 * D cuts every dimension at least twice, so a
@@ -949,15 +999,13 @@ class TestGeometryReplay:
             except BudgetExhausted:
                 break
 
-        fn = obj.raw
-        cells = replay_geometry(lo, hi, s, tree.split_log, fn)
+        cells, evaluated = replay_geometry(lo, hi, s, tree.split_log, fn)
         assert len(tree.cells) == len(cells)
+        assert [p.tobytes() for p in points] == [c.tobytes() for c in evaluated]
         split = set(tree.split_log)
         for view, cell in zip(tree.cells, cells):
             assert view.lower.tobytes() == cell["lower"].tobytes()
             assert view.upper.tobytes() == cell["upper"].tobytes()
-            assert view.center.tobytes() == cell["center"].tobytes()
-            assert view.parent == cell["parent"]
             assert view.depth % tree.dim == cell["split_dim"]
             assert view.depth == cell["depth"]
             assert _bits(view.value) == _bits(cell["value"])
