@@ -166,7 +166,6 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     raises, the meter therefore stays at the start of its block; no
     value from that block was handed back.
     """
-    check_type(objective, Objective, "objective")
     check_count(seed, "seed", 0)
     ledger = RunLedger(objective, check_count(budget, "budget", 1))
     rng = np.random.default_rng(seed)

@@ -234,6 +234,9 @@ def check_shift_seed(seed) -> int:
 def check_real(value, name: str) -> float:
     """value as a float; ValueError unless it is a real number, not a bool,
     within the float range (NaN and +/-inf are real numbers here)."""
+    # a plain float first, as in check_count: ucb_select checks its c per pull
+    if type(value) is float:
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -277,8 +280,9 @@ def as_floats(value, name: str, error: type[Exception] = ValueError) -> Array:
 
 
 def checked_box(lower, upper) -> tuple[Array, Array]:
-    """The box's corners as float arrays; raises InvalidBounds unless they
-    are matching non-empty 1-D vectors, finite, with lower < upper."""
+    """The box's corners as read-only float copies, so no later write to
+    the arrays passed in can move it; raises InvalidBounds unless they are
+    matching non-empty 1-D vectors, finite, with lower < upper."""
     lower = as_floats(lower, "lower", InvalidBounds)
     upper = as_floats(upper, "upper", InvalidBounds)
     if lower.ndim != 1 or upper.shape != lower.shape or lower.size < 1:
@@ -287,7 +291,14 @@ def checked_box(lower, upper) -> tuple[Array, Array]:
         raise InvalidBounds("bounds must be finite")
     if not np.all(lower < upper):
         raise InvalidBounds("need lower < upper in every dimension")
-    return lower, upper
+    return frozen(lower), frozen(upper)
+
+
+def frozen(values) -> Array:
+    """values as a fresh read-only float array."""
+    copy = np.array(values, dtype=float)
+    copy.flags.writeable = False
+    return copy
 
 
 def _row_loop(fn: Callable[[Array], float]) -> Callable[[Array], list[float]]:
@@ -327,10 +338,12 @@ class Objective:
     returns other than m values (ValueError), meters nothing of its block.
     Values come back verbatim as Python floats, including non-finite ones.
 
-    Its metadata is name, optimum_point and optimum_value; the last two
-    are None unless the instance knows its optimum, as suite objectives do.
-    fn must be callable, vectorized a bool and optimum_value a real number
-    (stored as a float), or ValueError is raised at construction.
+    It owns its box: lower and upper are read-only copies, checked once
+    here, that every run reads.  Its metadata is name, optimum_point (a
+    copy) and optimum_value; the last two are None unless the instance
+    knows its optimum, as suite objectives do.  fn must be callable,
+    vectorized a bool and optimum_value a real number (stored as a
+    float), or ValueError is raised at construction.
     """
 
     def __init__(
@@ -345,22 +358,19 @@ class Objective:
         optimum_point: Array | None = None,
         optimum_value: float | None = None,
     ):
-        lower, upper = checked_box(lower, upper)
+        self.lower, self.upper = checked_box(lower, upper)
         self.budget = check_count(budget, "budget", 0)
         check_type(fn, Callable, "fn")
         check_type(vectorized, bool, "vectorized")
         self._fn = fn if vectorized else _row_loop(fn)
-        self.lower = lower
-        self.upper = upper
         self.meter = 0
-        # bounds tiled to the flattened size of one point and of the most
-        # recent block; the box is fixed at construction
-        self._tiled = {lower.size: (lower, upper)}
+        # the bounds tiled to the latest block's flattened size (no run alternates)
+        self._tiled = (self.dim, self.lower, self.upper)
         self.name = name
         if optimum_point is not None:
-            optimum_point = as_floats(optimum_point, "optimum_point")
-            if optimum_point.shape != lower.shape:
-                raise ValueError(f"optimum_point must have dimension {lower.size}")
+            optimum_point = as_floats(optimum_point, "optimum_point").copy()
+            if optimum_point.shape != self.lower.shape:
+                raise ValueError(f"optimum_point must have dimension {self.dim}")
         self.optimum_point = optimum_point
         if optimum_value is not None:
             optimum_value = check_real(optimum_value, "optimum_value")
@@ -380,14 +390,11 @@ class Objective:
         # Counting comparisons is cheaper than np.all over their conjunction
         # and also rejects NaN coordinates, which fail both comparisons.
         flat = points.reshape(-1)
-        tiled = self._tiled.get(flat.size)
-        if tiled is None:
+        size, lower, upper = self._tiled
+        if size != flat.size:
             reps = flat.size // self.lower.size
-            tiled = np.tile(self.lower, reps), np.tile(self.upper, reps)
-            # keep the single-point pair; drop the previous block size's
-            point = self._tiled[self.lower.size]
-            self._tiled = {self.lower.size: point, flat.size: tiled}
-        lower, upper = tiled
+            lower, upper = np.tile(self.lower, reps), np.tile(self.upper, reps)
+            self._tiled = (flat.size, lower, upper)
         inside = np.count_nonzero(lower <= flat) + np.count_nonzero(flat <= upper)
         if inside != 2 * flat.size:
             raise OutOfBounds("point lies outside the objective's box")
@@ -458,20 +465,18 @@ def make_objective(name: str, dim: int, budget: int, *, shift_seed: int = 0) -> 
     g, min_dim = _BASE[name]
     check_count(dim, f"{name} dim", min_dim, BadDimension)
     shift_vec = shift_from_seed(shift_seed, dim)
-    lower = np.full(dim, -BOX_HALF_WIDTH)
-    upper = np.full(dim, BOX_HALF_WIDTH)
 
     def fn(points: Array) -> Array:
         return bias + g(points - shift_vec)
 
     return Objective(
         fn,
-        lower,
-        upper,
+        np.full(dim, -BOX_HALF_WIDTH),
+        np.full(dim, BOX_HALF_WIDTH),
         budget,
         vectorized=True,
         name=name,
-        optimum_point=shift_vec.copy(),
+        optimum_point=shift_vec,
         optimum_value=bias,
     )
 
@@ -490,20 +495,17 @@ def transformed(objective: Objective, g: Callable[[float], float], label: str) -
     def fn(points: Array) -> list[float]:
         return [float(g(value)) for value in _block_values(base_fn, points)]
 
-    opt_val = None
-    if objective.optimum_value is not None:
-        opt_val = g(objective.optimum_value)
+    f_star = objective.optimum_value
+    # the box and the optimum pass straight through: Objective copies them
     return Objective(
         fn,
-        objective.lower.copy(),
-        objective.upper.copy(),
+        objective.lower,
+        objective.upper,
         objective.budget,
         vectorized=True,
         name=f"{label}({objective.name})",
-        optimum_point=(
-            None if objective.optimum_point is None else objective.optimum_point.copy()
-        ),
-        optimum_value=opt_val,
+        optimum_point=objective.optimum_point,
+        optimum_value=None if f_star is None else g(f_star),
     )
 
 

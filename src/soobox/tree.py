@@ -14,24 +14,26 @@ This makes the method rank-based: only comparisons between observed values
 drive the tree, so any strictly increasing transform of the objective
 yields the identical sequence of splits.
 
-Storage: the tree keeps the root box once and, for every other cell, only
-the interval (lo, up) along the dimension its parent cut, (depth - 1) % D;
-a cell's id is its position in the columns.  Its interval and value live
-in array("d") columns, and its depth, leaf flag and split log in
-array("I"), bytearray and array("q"), so no slot holds a float or int
-object.  A leaf's heap entry is one int, (_order(value) << bits) | id,
-where bits is the bit length of the last id the run's cap allows: keys
-sort by value, then by id, so of tied values the earliest cell comes
-first.  A NaN or +/-inf leaf, which no sweep splits, has none.  A cell's
-corners are rebuilt by walking its nearest min(depth, D) ancestors,
-itself included, which cut distinct dimensions, and taking the root box
-for the rest.  Its midpoint is (lower + upper) / 2 in Python floats,
-bit-identical to the same numpy arithmetic.  The split dimension is
-depth % D, and the walk finds each parent at split_log[(id - 1) // S],
-since the k-th split appends children 1 + k*S .. (k + 1)*S.  A split
-evaluates its S - 1 fresh children at their midpoints, the leaf's
-midpoint with the split coordinate replaced; the middle child keeps the
-leaf's value unevaluated.
+Storage: the tree reads its objective's box once and, for every other
+cell, keeps only the interval (lo, up) along the dimension its parent
+cut, (depth - 1) % D; a cell's id is its position in the columns.  Its
+interval and value live in array("d") columns, and its depth, leaf flag
+and split log in array("I"), bytearray and array("q"), so no slot holds
+a float or int object.  A leaf's heap entry is one int,
+(_order(value) << bits) | id, where bits is the bit length of the last id
+the run's cap allows: keys sort by value, then by id, so of tied values
+the earliest cell comes first.  A NaN or +/-inf leaf, which no sweep
+splits, has none.  A cell's corners are rebuilt by walking its nearest
+min(depth, D) ancestors, itself included, which cut distinct dimensions,
+and taking the root box for the rest.  Its midpoint is (lower + upper) / 2
+in Python floats, bit-identical to the same numpy arithmetic.  The split
+dimension is depth % D, and the walk finds each parent at
+split_log[(id - 1) // S], since the k-th split appends children
+1 + k*S .. (k + 1)*S.  A split evaluates its S - 1 fresh children at
+their midpoints, the leaf's midpoint with the split coordinate replaced;
+the middle child keeps the leaf's value unevaluated.  tree.cells[k]
+makes one such walk and returns a Cell record, a snapshot that later
+splits do not change.
 
 The per-sweep depth cap follows max(1, floor((ln t)^(3/2))) with t the
 number of evaluations consumed when the sweep starts, so the tree may
@@ -50,8 +52,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .errors import NotALeaf, ObjectiveDegenerate
-from .objectives import Objective, check_count, check_type, checked_box
+from .errors import InvalidBounds, NotALeaf, ObjectiveDegenerate
+from .objectives import Objective, as_floats, check_count, check_type, frozen
 from .result import RunLedger, RunResult
 
 Array = np.ndarray
@@ -142,53 +144,27 @@ class SooParams:
         check_type(self.depth_schedule, DepthSchedule, "depth_schedule")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Cell:
-    """Read-only view of one box of the partition: its corners, value,
-    depth, leaf flag and volume.
+    """One cell as it was when read: its id, read-only corners, value,
+    depth and leaf flag.  A record that holds no tree, so a cell read
+    before its leaf is split still says is_leaf."""
 
-    Each box array is built fresh from the tree's interval log on access
-    and is read-only.  A view holds its tree; the tree never holds a view.
-    """
-
-    __slots__ = ("_tree", "id")
-
-    def __init__(self, tree: "PartitionTree", cell_id: int):
-        self._tree = tree
-        self.id = cell_id
-
-    @property
-    def lower(self) -> Array:
-        return _frozen(self._tree._box(self.id)[0])
-
-    @property
-    def upper(self) -> Array:
-        return _frozen(self._tree._box(self.id)[1])
-
-    @property
-    def value(self) -> float:
-        return self._tree._value[self.id]
-
-    @property
-    def depth(self) -> int:
-        return self._tree._depth[self.id]
-
-    @property
-    def is_leaf(self) -> bool:
-        return bool(self._tree._is_leaf[self.id])
+    id: int
+    lower: Array
+    upper: Array
+    value: float
+    depth: int
+    is_leaf: bool
 
     @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
 
-def _frozen(values) -> Array:
-    frozen = np.array(values, dtype=float)
-    frozen.flags.writeable = False
-    return frozen
-
-
 class CellsView(Sequence):
-    """Read-only sequence of Cell views over a tree's cells, indexed by id."""
+    """Read-only sequence over a tree's cells, indexed by id: each item is
+    a Cell record built by one walk of the interval log when it is read."""
 
     __slots__ = ("_tree",)
 
@@ -199,10 +175,15 @@ class CellsView(Sequence):
         return len(self._tree._value)
 
     def __getitem__(self, index):
-        ids = range(len(self._tree._value))[index]
+        tree = self._tree
+        cid = range(len(tree._value))[index]
         if isinstance(index, slice):
-            return [Cell(self._tree, i) for i in ids]
-        return Cell(self._tree, ids)
+            return [self[i] for i in cid]
+        lower, upper, _ = tree._box(cid)
+        return Cell(
+            cid, frozen(lower), frozen(upper), tree._value[cid],
+            tree._depth[cid], bool(tree._is_leaf[cid]),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +195,9 @@ class PartitionTree:
 
     Cells live in an interval log: per-cell columns of the interval along
     the dimension the parent cut, value, depth and leaf flag, plus the
-    root box stored once; a cell's id is its index, and its corners are
-    derived (see the module docstring).  A cell costs the same few column
-    slots whatever D is.
+    root box read once from the objective; a cell's id is its index, and
+    its corners are derived (see the module docstring).  A cell costs the
+    same few column slots whatever D is.
 
     Leaves with finite values are tracked per depth in min-heaps of packed
     int keys, (_order(value) << bits) | id, which sort as (value, id), so
@@ -224,28 +205,25 @@ class PartitionTree:
     whole frontier.  A sweep pops the leaf it splits only after split_leaf
     returns; stale entries from direct split_leaf calls are dropped lazily.
 
-    Nothing is counted twice: the best-so-far trace is the run's one
-    evaluation ledger, so eval_count is its length; max_leaf_depth is the
-    number of depth heaps minus one; incumbent() is the cell id the trace
-    recorded with its best value; and the trace is a RunLedger, which fixes
-    the run's cap before the root is paid for and pays for every evaluation.
+    Nothing is counted twice: the box is the objective's, read once; the
+    best-so-far trace is the run's one evaluation ledger, so eval_count is
+    its length; max_leaf_depth is the number of depth heaps minus one; the
+    trace's incumbent is the id of the cell that paid for its best value,
+    whose midpoint incumbent() returns; and the trace is a RunLedger,
+    which checks the objective and eval_budget, fixes the run's cap before
+    the root is paid for and pays for every evaluation.
     """
 
     def __init__(
         self,
-        lower,
-        upper,
         objective: Objective,
         params: SooParams | None = None,
         eval_budget: int | None = None,
     ):
-        check_type(objective, Objective, "objective")
-        lower, upper = checked_box(lower, upper)
         self.params = SooParams() if params is None else params
         check_type(self.params, SooParams, "params")
-        if eval_budget is not None:
-            eval_budget = check_count(eval_budget, "eval_budget", 1)
         self.trace = RunLedger(objective, eval_budget)
+        lower, upper = objective.lower, objective.upper
         self.dim = lower.size
         self.split_log = array("q")
         s = self.params.s_children
@@ -398,14 +376,11 @@ class PartitionTree:
 
     # -- reporting ----------------------------------------------------------
 
-    def incumbent(self) -> tuple[Array, float, int]:
-        """Best evaluated point: (read-only center, value, cell id).
-
-        The cell is the one whose evaluation the trace's best-so-far rule
-        picked; it paid for its value, so its own center is the point.
-        """
-        cid = self.trace.incumbent
-        return _frozen(self._box(cid)[2]), self._value[cid], cid
+    def incumbent(self) -> Array:
+        """Best evaluated point, read-only: the midpoint of the cell the
+        trace's best-so-far rule picked (trace.incumbent), which paid for
+        its value (trace.best_value)."""
+        return frozen(self._box(self.trace.incumbent)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +391,14 @@ class PartitionTree:
 def new_tree(
     space: tuple, objective: Objective, params: SooParams | None = None
 ) -> PartitionTree:
-    """Root a tree on the box `space` = (lower, upper), paying one evaluation."""
-    lower, upper = space
-    return PartitionTree(lower, upper, objective, params)
+    """Root a tree on objective's box, paying one evaluation.  space =
+    (lower, upper) must be that box, or InvalidBounds is raised with
+    nothing metered; to search a sub-box, build an Objective on it."""
+    space = as_floats(space, "space", InvalidBounds)
+    check_type(objective, Objective, "objective")
+    if not np.array_equal(space, (objective.lower, objective.upper)):
+        raise InvalidBounds("space must be the objective's box")
+    return PartitionTree(objective, params)
 
 
 def sweep(tree: PartitionTree) -> list[int]:
@@ -438,14 +418,11 @@ def run_soo(
     final.  Raises ObjectiveDegenerate when every evaluated value was
     non-finite, so no incumbent is NaN.
     """
-    check_type(objective, Objective, "objective")
-    tree = PartitionTree(
-        objective.lower, objective.upper, objective, params, eval_budget=budget
-    )
+    tree = PartitionTree(objective, params, eval_budget=budget)
     while tree.sweep():
         pass
 
     if not math.isfinite(tree.trace.best_value):
         raise ObjectiveDegenerate("every evaluated point was non-finite")
 
-    return tree.trace.result(tree.incumbent()[0], tree.split_log)
+    return tree.trace.result(tree.incumbent(), tree.split_log)

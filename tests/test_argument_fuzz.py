@@ -17,9 +17,9 @@ a run's length gets only small integers: a valid 10**18 there is a
 request for that much memory or time, not a bad argument.
 
 An objective function or transform is fuzzed too, and an Objective's
-vectorized flag and optimum_value.  Out of scope: reward sources and
-new_tree's space tuple.  A cell id is fuzzed on a tree with its own
-objective, whose root is metered.
+vectorized flag and optimum_value.  Out of scope: reward sources.  A
+cell id is fuzzed on a tree with its own objective, whose root is
+metered.
 """
 
 import math
@@ -43,6 +43,7 @@ from soobox import (
     make_objective,
     max_depth,
     nelder_mead,
+    new_tree,
     refine_budget_split,
     refine_run,
     run_grid,
@@ -105,7 +106,7 @@ def _played_stats():
 def _split_tree():
     # its own objective: the root and the first split are metered
     objective = make_objective("sphere", 2, budget=50)
-    tree = PartitionTree(objective.lower, objective.upper, objective)
+    tree = PartitionTree(objective)
     tree.split_leaf(0)
     return tree
 
@@ -182,17 +183,13 @@ CALLS = [
     ("Objective.raw", COORDS, lambda v, obj: obj.raw(v)),
     ("RunLedger-objective", SMALL, lambda v, obj: RunLedger(v)),
     ("RunLedger-budget", ANY, lambda v, obj: RunLedger(obj, v)),
-    (
-        "PartitionTree-objective", SMALL,
-        lambda v, obj: PartitionTree(obj.lower, obj.upper, v),
-    ),
-    ("PartitionTree-lower", COORDS, lambda v, obj: PartitionTree(v, obj.upper, obj)),
-    ("PartitionTree-upper", COORDS, lambda v, obj: PartitionTree(obj.lower, v, obj)),
-    ("PartitionTree-params", ANY, lambda v, obj: PartitionTree(obj.lower, obj.upper, obj, v)),
-    (
-        "PartitionTree-eval_budget", ANY,
-        lambda v, obj: PartitionTree(obj.lower, obj.upper, obj, eval_budget=v),
-    ),
+    ("PartitionTree-objective", SMALL, lambda v, obj: PartitionTree(v)),
+    ("PartitionTree-params", ANY, lambda v, obj: PartitionTree(obj, v)),
+    ("PartitionTree-eval_budget", ANY, lambda v, obj: PartitionTree(obj, eval_budget=v)),
+    # new_tree's space must be its objective's box: any other is refused
+    ("new_tree-objective", SMALL, lambda v, obj: new_tree((obj.lower, obj.upper), v)),
+    ("new_tree-lower", COORDS, lambda v, obj: new_tree((v, obj.upper), obj)),
+    ("new_tree-upper", COORDS, lambda v, obj: new_tree((obj.lower, v), obj)),
     ("run_soo-objective", SMALL, lambda v, obj: run_soo(v, 20)),
     ("run_soo-budget", ANY, lambda v, obj: run_soo(obj, v)),
     ("run_soo-params", ANY, lambda v, obj: run_soo(obj, 20, v)),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from soobox import (
     transformed,
 )
 from soobox.baselines import grid_divisions
+from soobox.objectives import check_real
 
 # =============================================================================
 # Suite structure
@@ -269,11 +271,12 @@ class TestEvaluateBatch:
         assert obj.meter == 0
 
     def test_tiled_bounds_cache_stays_bounded(self):
-        # one pair for a single point plus one for the latest block size
+        # one tiled pair, for the latest block size only
         obj = make_objective("sphere", 10, budget=10**6)
         for m in range(1, 401):
             obj.evaluate_batch(np.zeros((m, 10)))
-        assert len(obj._tiled) <= 2
+        size, lower, upper = obj._tiled
+        assert size == lower.size == upper.size == 4000
         meter = obj.meter
         for rows, bad in enumerate((5.1, -5.0000001, math.nan), start=2):
             x = np.zeros(10)
@@ -285,7 +288,8 @@ class TestEvaluateBatch:
                 with pytest.raises(OutOfBounds):
                     obj.evaluate_batch(block)
         assert obj.meter == meter
-        assert len(obj._tiled) <= 2
+        size, lower, upper = obj._tiled
+        assert size == lower.size == upper.size == 40
 
 
 class TestVectorized:
@@ -561,9 +565,7 @@ class TestObjectiveValidation:
         "call",
         [
             pytest.param(lambda obj: Objective(np.sum, [1.0], [0.0], 10), id="objective"),
-            pytest.param(
-                lambda obj: PartitionTree([math.nan], [1.0], obj), id="partition-tree"
-            ),
+            pytest.param(lambda obj: new_tree(([math.nan], [1.0]), obj), id="partition-tree"),
         ],
     )
     def test_invalid_bounds_is_a_value_error(self, call):
@@ -585,6 +587,58 @@ class TestObjectiveValidation:
         obj.optimum_point[0] = 1.0
         assert obj.evaluate(shift) == obj.optimum_value
 
+    def test_box_and_optimum_are_copies_of_the_arrays_passed_in(self):
+        # the box checked at construction is the box every run sees
+        lower, upper, optimum = np.zeros(2), np.ones(2), np.full(2, 0.25)
+        obj = Objective(math.fsum, lower, upper, 10, optimum_point=optimum)
+        lower[0], upper[0], optimum[0] = 5.0, 0.5, 0.75
+        assert obj.evaluate([0.75, 0.5]) == 1.25
+        assert obj.lower.tolist() == [0.0, 0.0]
+        assert obj.upper.tolist() == [1.0, 1.0]
+        assert obj.optimum_point.tolist() == [0.25, 0.25]
+
+    @pytest.mark.parametrize("corner", ["lower", "upper"])
+    def test_box_is_read_only(self, corner):
+        obj = make_objective("sphere", 2, budget=1)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(obj, corner)[0] = 1.0
+        assert obj.evaluate([4.5, -4.5]) > obj.optimum_value
+        assert obj.lower.tolist() == [-5.0, -5.0] and obj.upper.tolist() == [5.0, 5.0]
+
+
+class _Real(float):
+    """A float subclass: not a plain float, so check_real converts it."""
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (2.0, 2.0), (-0.0, -0.0), (math.inf, math.inf), (3, 3.0),
+            (np.float64(0.25), 0.25), (np.float32(0.5), 0.5), (np.int64(-2), -2.0),
+            (_Real(1.5), 1.5), (Fraction(1, 4), 0.25), (2**1023, 2.0**1023),
+        ],
+    )
+    def test_accepts_a_real_number_as_a_plain_float(self, value, expected):
+        real = check_real(value, "x")
+        assert type(real) is float
+        assert real == expected and math.copysign(1.0, real) == math.copysign(1.0, expected)
+
+    def test_accepts_nan(self):
+        assert math.isnan(check_real(math.nan, "x"))
+        assert type(check_real(np.float64(math.nan), "x")) is float
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            True, False, np.bool_(True), 10**400, -(10**400), Fraction(10**400, 3),
+            "2.0", None, 1 + 0j, np.array(2.0), [2.0],
+        ],
+    )
+    def test_refuses_anything_else(self, value):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            check_real(value, "x")
+
 
 def _pulled_arms():
     stats = ArmStats(2)
@@ -596,7 +650,7 @@ def _pulled_arms():
 def _split_tree():
     """A 2-D sphere tree after one split: cells 0 (split) to 3 (leaves)."""
     objective = make_objective("sphere", 2, budget=50)
-    tree = PartitionTree(objective.lower, objective.upper, objective)
+    tree = PartitionTree(objective)
     tree.split_leaf(0)
     return tree
 
@@ -610,7 +664,7 @@ BAD_COUNTS = [
     pytest.param(lambda obj: run_random_search(obj, 10.5, 0), id="random-budget"),
     pytest.param(lambda obj: run_ucb_grid(obj, 10.5), id="ucb-grid-budget"),
     pytest.param(
-        lambda obj: PartitionTree(obj.lower, obj.upper, obj, eval_budget=10.5),
+        lambda obj: PartitionTree(obj, eval_budget=10.5),
         id="tree-eval-budget",
     ),
     pytest.param(lambda obj: nelder_mead(obj, [0.0, 0.0], 7.5), id="nm-max-evals"),

@@ -196,7 +196,7 @@ class TestCellGeometry:
 
 
 class TestCellViews:
-    """tree.cells are read-only views over the tree's storage."""
+    """tree.cells reads read-only Cell records off the tree's storage."""
 
     def test_views_are_read_only(self):
         obj = linear_objective()
@@ -223,6 +223,29 @@ class TestCellViews:
         with pytest.raises(IndexError):
             cells[4]
         assert [c.id for c in leaves(tree)] == [1, 2, 3]
+
+    def test_a_cell_is_a_snapshot(self):
+        # a record read before its leaf is split keeps what it read; a
+        # read after the split sees the split
+        obj = linear_objective()
+        tree = new_tree((obj.lower, obj.upper), obj)
+        before = tree.cells[0]
+        tree.split_leaf(0)
+        assert before.is_leaf is True
+        assert tree.cells[0].is_leaf is False
+        after = tree.cells[0]
+        assert before.lower.tolist() == after.lower.tolist() == [0.0]
+        assert before.upper.tolist() == after.upper.tolist() == [1.0]
+        assert before.value == after.value and before.depth == after.depth == 0
+
+    def test_cells_compare_by_identity(self):
+        # numpy corners give a record no field-wise == or hash, so a cell,
+        # as the views before it, is equal only to itself
+        obj = make_objective("sphere", 2, budget=10)
+        tree = new_tree((obj.lower, obj.upper), obj)
+        a, b = tree.cells[0], tree.cells[0]
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_is_leaf_is_a_bool(self):
         # the leaf flags are bytes; a view reports a real bool
@@ -280,6 +303,19 @@ class TestTreeValidation:
         obj = linear_objective()
         with pytest.raises(InvalidBounds):
             new_tree((np.ones(1), np.zeros(1)), obj)
+
+    @pytest.mark.parametrize("corner", [0, 1])
+    def test_space_other_than_the_objectives_box_rejected(self, corner):
+        # a sub-box is searched through an Objective on it, never a tree
+        # rooted on part of its objective's box; nothing is metered
+        obj = unit_objective(math.fsum, 2)
+        space = [obj.lower, obj.upper]
+        space[corner] = np.full(2, 0.25 + 0.5 * corner)
+        with pytest.raises(InvalidBounds):
+            new_tree(tuple(space), obj)
+        assert obj.meter == 0
+        sub = Objective(math.fsum, space[0], space[1], 10)
+        assert new_tree(tuple(space), sub).cells[0].lower.tolist() == space[0].tolist()
 
     def test_splitting_a_non_leaf_rejected(self):
         obj = linear_objective()
@@ -340,7 +376,7 @@ class TestTreeValidation:
         # the cap is the lesser of the two budgets, fixed at construction;
         # after one split 1 evaluation is left, short of a split's 2
         obj = linear_objective(budget=objective_budget)
-        tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=eval_budget)
+        tree = PartitionTree(obj, eval_budget=eval_budget)
         tree.split_leaf(0)
         assert tree.trace.cap == 4
         assert tree.trace.left == 1
@@ -598,7 +634,7 @@ class TestHeapKeys:
     @settings(max_examples=300, deadline=None)
     def test_keys_sort_as_value_key_then_id(self, data, s, cap):
         obj = unit_objective(lambda x: 0.0, 1, budget=cap)
-        tree = PartitionTree(obj.lower, obj.upper, obj, SooParams(s_children=s))
+        tree = PartitionTree(obj, SooParams(s_children=s))
         last = s * ((cap - 1) // (s - 1))  # the last id the cap can pay for
         ids = st.sampled_from([0, last]) | st.integers(0, last)
         cells = data.draw(st.lists(st.tuples(KEY_VALUES, ids), min_size=1))
@@ -630,7 +666,7 @@ class TestHeapKeys:
             return math.nan if x[0] < 0.5 else float(x[0])
 
         obj = unit_objective(fn, 1, budget=200)
-        tree = PartitionTree(obj.lower, obj.upper, obj, SooParams(s_children=s))
+        tree = PartitionTree(obj, SooParams(s_children=s))
         while tree.sweep():
             pass
         assert tree.eval_count > 100
@@ -650,16 +686,19 @@ class TestIncumbent:
         obj = linear_objective()
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        point, value, cid = tree.incumbent()
+        point, value, cid = tree.incumbent(), tree.trace.best_value, tree.trace.incumbent
         assert value == min(c.value for c in tree.cells)
         assert point[0] == pytest.approx(1 / 6)
         assert tree.cells[cid].value == value
+        cell = tree.cells[cid]
+        assert point.tolist() == ((cell.lower + cell.upper) / 2).tolist()
+        assert not point.flags.writeable
 
     def test_tie_goes_to_earliest_cell(self):
         obj = scripted_objective({}, default=3.0)
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        _, value, cid = tree.incumbent()
+        value, cid = tree.trace.best_value, tree.trace.incumbent
         assert value == 3.0
         assert cid == 0  # the root paid for this value first
 
@@ -670,7 +709,7 @@ class TestIncumbent:
         obj = unit_objective(fn, 1)
         tree = new_tree((obj.lower, obj.upper), obj)
         sweep(tree)
-        _, value, _ = tree.incumbent()
+        value = tree.trace.best_value
         assert math.isfinite(value)
         assert value == 0.5
 
@@ -755,7 +794,7 @@ class TestRunSoo:
         # split_log, depth and leaf flag are typed columns: at most 10 B
         # per cell together after a 10-D run (lists cost 20.4 B).
         obj = make_objective("sphere", 10, budget=5000)
-        tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=5000)
+        tree = PartitionTree(obj, eval_budget=5000)
         while tree.sweep():
             pass
         columns = (tree.split_log, tree._depth, tree._is_leaf)
@@ -766,7 +805,7 @@ class TestRunSoo:
         # interval ends and values are array("d") columns: at most 8.5 B
         # per cell each after a 10-D run (a list slot plus its float is 32 B).
         obj = make_objective("sphere", 10, budget=5000)
-        tree = PartitionTree(obj.lower, obj.upper, obj, eval_budget=5000)
+        tree = PartitionTree(obj, eval_budget=5000)
         while tree.sweep():
             pass
         for column in (tree._lo, tree._up, tree._value):
@@ -1013,7 +1052,7 @@ class TestGeometryReplay:
 
         keys = [value_key(cell["value"]) for cell in cells]
         best = keys.index(min(keys))
-        point, value, best_id = tree.incumbent()
+        point, value, best_id = tree.incumbent(), tree.trace.best_value, tree.trace.incumbent
         assert best_id == best
         assert _bits(value) == _bits(cells[best]["value"])
         assert point.tobytes() == cells[best]["center"].tobytes()
