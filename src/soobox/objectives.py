@@ -384,21 +384,6 @@ class Objective:
     def remaining(self) -> int:
         return self.budget - self.meter
 
-    def _require_inside(self, points: Array) -> None:
-        # The flattened block is compared with the bounds tiled to its
-        # size, which is cheaper than broadcasting the bounds over rows.
-        # Counting comparisons is cheaper than np.all over their conjunction
-        # and also rejects NaN coordinates, which fail both comparisons.
-        flat = points.reshape(-1)
-        size, lower, upper = self._tiled
-        if size != flat.size:
-            reps = flat.size // self.lower.size
-            lower, upper = np.tile(self.lower, reps), np.tile(self.upper, reps)
-            self._tiled = (flat.size, lower, upper)
-        inside = np.count_nonzero(lower <= flat) + np.count_nonzero(flat <= upper)
-        if inside != 2 * flat.size:
-            raise OutOfBounds("point lies outside the objective's box")
-
     def _metered(self, block: Array) -> list[float]:
         # The budget, then the bounds, then one call on the block; the
         # meter advances by its m rows only once the call returned m values.
@@ -407,7 +392,18 @@ class Objective:
             raise BudgetExhausted(
                 f"{m} evaluations asked for, {self.remaining} of {self.budget} left"
             )
-        self._require_inside(block)
+        # The flattened block is compared with the bounds tiled to its
+        # size, which is cheaper than broadcasting the bounds over rows.
+        # A zero byte in either comparison marks a coordinate outside, NaN
+        # included, as it fails both; finding it costs no numpy reduction.
+        flat = block.ravel()
+        size, lower, upper = self._tiled
+        if size != flat.size:
+            reps = flat.size // self.lower.size
+            lower, upper = np.tile(self.lower, reps), np.tile(self.upper, reps)
+            self._tiled = (flat.size, lower, upper)
+        if b"\0" in (lower <= flat).tobytes() + (flat <= upper).tobytes():
+            raise OutOfBounds("point lies outside the objective's box")
         values = _block_values(self._fn, block)
         self.meter += m
         return values

@@ -17,7 +17,9 @@ finished run.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +47,7 @@ def ratio_to_optimum(value: float, f_star: float | None) -> float | None:
 class TraceRecorder:
     """Accumulates the per-evaluation best-so-far trace and its incumbent.
 
-    When ``record(value, at)``'s value strictly improves the incumbent
+    When a value recorded at ``at`` strictly improves the incumbent
     (ties keep the earlier one), ``incumbent`` becomes ``at``, where value
     was observed (a point, a cell id).  The first value always counts,
     even a NaN, so ``incumbent`` is None exactly when nothing has been
@@ -61,18 +63,22 @@ class TraceRecorder:
         self._best_raw = math.nan
 
     def record(self, value: float, at) -> None:
-        key = value_key(value)
-        if self._best_key is None or key < self._best_key:
-            self._best_key = key
-            self._best_raw = float(value)
-            self.incumbent = at
-        self.entries.append(self._best_raw)
+        self.extend((value,), (at,))
 
     def extend(self, values, at) -> None:
-        """Record each value in turn, with at's matching item."""
-        record = self.record
-        for value, where in zip(values, at):
-            record(value, where)
+        """Record each value in turn, with at's matching item: the one
+        place the best-so-far rule lives (record is extend of one value)."""
+        append = self.entries.append
+        key, best, where = self._best_key, self._best_raw, self.incumbent
+        try:
+            for value, place in zip(values, at):
+                # value_key(value) < key without a call per value: a
+                # non-finite value's key, +inf, undercuts no key
+                if key is None or (value < key and math.isfinite(value)):
+                    key, best, where = value_key(value), float(value), place
+                append(best)
+        finally:
+            self._best_key, self._best_raw, self.incumbent = key, best, where
 
     @property
     def best_value(self) -> float:
@@ -91,15 +97,15 @@ class RunResult:
 
     evals_used and best_value are read from the trace: its length and its
     last entry.  f_star is the objective's known optimum value, or None,
-    and ratio is best_value divided by it.  split_ids lists the cell ids
-    split by the partition optimizer in order, and stays empty for the
-    baselines.
+    and ratio is best_value divided by it.  split_ids is an array("q") of
+    the cell ids split by the partition optimizer, in order (8 bytes per
+    split; .tolist() gives plain ints), and stays empty for the baselines.
     """
 
     best_point: np.ndarray
     trace: list[float]
     f_star: float | None = None
-    split_ids: tuple[int, ...] = field(default_factory=tuple)
+    split_ids: array = field(default_factory=partial(array, "q"))
 
     @property
     def evals_used(self) -> int:
@@ -165,7 +171,7 @@ class RunLedger(TraceRecorder):
         return self.cap - len(self.entries)
 
     def _pay(self, m: int) -> None:
-        if m > self.left:
+        if m > self.cap - len(self.entries):
             raise BudgetExhausted(f"need {m} evaluations, {self.left} left")
 
     def evaluate(self, x, at) -> float:
@@ -181,5 +187,6 @@ class RunLedger(TraceRecorder):
         return values
 
     def result(self, best_point, split_ids=()) -> RunResult:
+        """The finished run, with a snapshot of split_ids as an array("q")."""
         f_star = self.objective.optimum_value
-        return RunResult(best_point, self.entries, f_star, tuple(split_ids))
+        return RunResult(best_point, self.entries, f_star, array("q", split_ids))

@@ -23,16 +23,18 @@ a float or int object.  A leaf's heap entry is one int,
 (_order(value) << bits) | id, where bits is the bit length of the last id
 the run's cap allows: keys sort by value, then by id, so of tied values
 the earliest cell comes first.  A NaN or +/-inf leaf, which no sweep
-splits, has none.  A cell's corners are rebuilt by walking its nearest
+splits, has none.  A cell's midpoint is rebuilt by walking its nearest
 min(depth, D) ancestors, itself included, which cut distinct dimensions,
-and taking the root box for the rest.  Its midpoint is (lower + upper) / 2
-in Python floats, bit-identical to the same numpy arithmetic.  The split
+and taking the root box for the rest; it is (lower + upper) / 2 in
+Python floats, bit-identical to the same numpy arithmetic.  The split
 dimension is depth % D, and the walk finds each parent at
 split_log[(id - 1) // S], since the k-th split appends children
-1 + k*S .. (k + 1)*S.  A split evaluates its S - 1 fresh children at
-their midpoints, the leaf's midpoint with the split coordinate replaced;
-the middle child keeps the leaf's value unevaluated.  tree.cells[k]
-makes one such walk and returns a Cell record, a snapshot that later
+1 + k*S .. (k + 1)*S.  A split's walk builds only the leaf's midpoint
+and its interval along the split dimension; the S - 1 fresh children
+are evaluated at their midpoints, the leaf's midpoint with the split
+coordinate replaced, as one block, and the middle child keeps the
+leaf's value unevaluated.  tree.cells[k] makes one such walk that also
+fills in the corners, and returns a Cell record, a snapshot that later
 splits do not change.
 
 The per-sweep depth cap follows max(1, floor((ln t)^(3/2))) with t the
@@ -179,7 +181,8 @@ class CellsView(Sequence):
         cid = range(len(tree._value))[index]
         if isinstance(index, slice):
             return [self[i] for i in cid]
-        lower, upper, _ = tree._box(cid)
+        lower, upper = tree._root[0].copy(), tree._root[1].copy()
+        tree._walk(cid, lower, upper)
         return Cell(
             cid, frozen(lower), frozen(upper), tree._value[cid],
             tree._depth[cid], bool(tree._is_leaf[cid]),
@@ -235,8 +238,12 @@ class PartitionTree:
         value = self.trace.evaluate(center, 0)
 
         self._root = (lower.tolist(), upper.tolist(), center.tolist())
-        # D - 1 .. 0 twice: a slice of it lists the dimensions cut along a path
-        self._dims_down = list(range(self.dim - 1, -1, -1)) * 2
+        # by split dimension d, the dimensions cut along a path, nearest
+        # first: (d - 1) % D downward, all D of them
+        dims = range(self.dim)
+        self._paths = [[(d - 1 - i) % self.dim for i in dims] for d in dims]
+        # the slabs a split evaluates: all but the middle one
+        self._fresh = [k for k in range(s) if k != s // 2]
         # the root was cut by no parent: its slots are never read
         self._lo = array("d", [math.nan])
         self._up = array("d", [math.nan])
@@ -261,22 +268,30 @@ class PartitionTree:
         split that commits children there, so the depths are 0..len - 1."""
         return len(self._heaps) - 1
 
-    def _box(self, cell_id: int) -> tuple[list[float], list[float], list[float]]:
-        """A cell's lower corner, upper corner and midpoint, as fresh lists:
-        the nearest min(depth, D) cells on its path, itself first, cut the
-        dimensions (depth - 1) % D downward; the root box gives the rest."""
-        lower, upper, center = self._root
-        lower, upper, center = lower.copy(), upper.copy(), center.copy()
+    def _walk(
+        self, cell_id: int, lower=None, upper=None
+    ) -> tuple[list[float], float, float]:
+        """A cell's midpoint, as a fresh list, and its interval along
+        depth % D, the dimension its split cuts.  The nearest min(depth, D)
+        cells on its path, itself first, cut the dimensions (depth - 1) % D
+        downward, and the root box gives the rest; lists lower and upper,
+        when given (copies of the root's corners), take those cuts too."""
+        root_lower, root_upper, center = self._root
+        center = center.copy()
         los, ups, log = self._lo, self._up, self.split_log
         dim, s = self.dim, self.params.s_children
         depth = self._depth[cell_id]
-        start = dim - depth % dim
-        for j in self._dims_down[start:start + min(depth, dim)]:
-            lower[j] = lo = los[cell_id]
-            upper[j] = up = ups[cell_id]
+        d = depth % dim
+        path = self._paths[d]
+        for j in path if depth >= dim else path[:depth]:
+            lo, up = los[cell_id], ups[cell_id]
             center[j] = (lo + up) / 2.0
+            if lower is not None:
+                lower[j], upper[j] = lo, up
             cell_id = log[(cell_id - 1) // s]
-        return lower, upper, center
+        if depth < dim:  # no cell on the path cut d
+            lo, up = root_lower[d], root_upper[d]
+        return center, lo, up
 
     @property
     def cells(self) -> CellsView:
@@ -298,37 +313,38 @@ class PartitionTree:
             raise ValueError(f"no cell with id {leaf_id}")
         if not self._is_leaf[leaf_id]:
             raise NotALeaf(f"cell {leaf_id} was already split")
-        s = self.params.s_children
+        s, dim = self.params.s_children, self.dim
 
         # Along the split dimension the shared interior edges lo + k*step
         # are computed once, so adjacent children have bit-identical
         # boundaries, and the outer edges reuse the parent's.  A fresh
         # child's point is the parent's midpoint with that one coordinate
-        # replaced by its slab's midpoint.
-        lower, upper, center = self._box(leaf_id)
+        # replaced by its slab's midpoint: one row of a flat block.
+        # (Loops, not comprehensions: at S items they cost less.)
+        center, lo_d, up_d = self._walk(leaf_id)
         depth = self._depth[leaf_id]
-        d = depth % self.dim
-        lo_d, up_d = lower[d], upper[d]
         step = (up_d - lo_d) / s
-        edges = [lo_d, *[lo_d + k * step for k in range(1, s)], up_d]
-        # Center reuse: the middle slab is not evaluated; it keeps the
-        # parent's value.
-        mid = (s - 1) // 2
-        points, fresh_ids = [], []
-        for k in range(s):
-            if k != mid:
-                point = center.copy()
-                point[d] = (edges[k] + edges[k + 1]) / 2.0
-                points.append(point)
-                fresh_ids.append(n + k)
-        fresh = self.trace.evaluate_batch(points, fresh_ids)
+        edges = [lo_d]
+        for k in range(1, s):
+            edges.append(lo_d + k * step)
+        edges.append(up_d)
+        fresh = self._fresh
+        block = center * (s - 1)
+        pos = depth % dim
+        for k in fresh:
+            block[pos] = (edges[k] + edges[k + 1]) / 2.0
+            pos += dim
+        block = np.array(block).reshape(s - 1, dim)
+        values = self.trace.evaluate_batch(block, map(n.__add__, fresh))
 
-        values = fresh[:mid] + [self._value[leaf_id]] + fresh[mid:]
+        # Center reuse: the middle slab was not evaluated; it keeps the
+        # parent's value.
+        values.insert(s // 2, self._value[leaf_id])
         self._lo.fromlist(edges[:-1])
         self._up.fromlist(edges[1:])
         self._value.fromlist(values)
-        self._depth.extend([depth + 1] * s)
-        self._is_leaf.extend([True] * s)
+        self._depth.fromlist([depth + 1] * s)
+        self._is_leaf.extend(b"\1" * s)
         self._is_leaf[leaf_id] = False
         self.split_log.append(leaf_id)
         # heaps grow last: of the orders measured, this left the lowest peak RSS
@@ -380,7 +396,7 @@ class PartitionTree:
         """Best evaluated point, read-only: the midpoint of the cell the
         trace's best-so-far rule picked (trace.incumbent), which paid for
         its value (trace.best_value)."""
-        return frozen(self._box(self.trace.incumbent)[2])
+        return frozen(self._walk(self.trace.incumbent)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -765,7 +765,8 @@ class TestRunCap:
         assert ledger.incumbent == "a"  # a tie keeps the earlier place
         result = ledger.result(np.zeros(2))
         assert result.trace is ledger.entries
-        assert (result.f_star, result.split_ids) == (obj.optimum_value, ())
+        assert (result.f_star, result.split_ids.tolist()) == (obj.optimum_value, [])
+        assert result.split_ids.typecode == "q"
 
     @pytest.mark.parametrize(
         "run, raises",

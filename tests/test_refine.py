@@ -1,6 +1,7 @@
 """Tests for the simplex refiner and the hybrid global+local driver."""
 
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestTraceRecorder:
         raw.extend(first + later, range(len(first) + len(later)))
         stage = TraceRecorder()
         stage.extend(first, range(len(first)))
-        result = RunResult(stage.incumbent, stage.entries, 2.0, (3, 1))
+        result = RunResult(stage.incumbent, stage.entries, 2.0, array("q", [3, 1]))
         search = TraceRecorder()
         search.extend(later, range(len(first), len(first) + len(later)))
         joined = result.then(search.incumbent, search.entries)
@@ -114,7 +115,7 @@ class TestTraceRecorder:
         # the later point is kept exactly when the raw values' best is
         # among the later stage's, at the place it was recorded
         assert joined.best_point == raw.incumbent
-        assert (joined.f_star, joined.split_ids) == (2.0, (3, 1))
+        assert (joined.f_star, joined.split_ids.tolist()) == (2.0, [3, 1])
         assert len(result.trace) == len(first)  # the first stage is not changed
 
     @given(

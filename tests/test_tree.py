@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import weakref
 import zlib
+from array import array
 
 import mpmath as mp
 import numpy as np
@@ -777,10 +778,11 @@ class TestRunSoo:
     @pytest.mark.parametrize("s", [3, 5, 7])
     def test_peak_bytes_per_evaluation(self, s):
         # A cell stores one interval in float columns and one packed int
-        # heap key: this 10-D run peaks at 97-123 B per evaluation under
-        # tracemalloc (CPython 3.11, S = 7..3), against 171-217 B with
-        # float lists and (value, id) tuples, and 431-554 B with each
-        # cell's box.
+        # heap key, and the result's split_ids is an array("q") copy of
+        # the split log: this 10-D run peaks at 93-108 B per evaluation
+        # under tracemalloc (CPython 3.11, S = 7..3), against 97-123 B
+        # with a tuple of int objects, 171-217 B with float lists and
+        # (value, id) tuples, and 431-554 B with each cell's box.
         obj = make_objective("sphere", 10, budget=5000)
         tracemalloc.start()
         try:
@@ -788,7 +790,20 @@ class TestRunSoo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / result.evals_used < 150
+        assert peak / result.evals_used < 124
+
+    def test_a_finished_run_keeps_16_bytes_per_evaluation(self):
+        # Once run_soo returns, the tree is gone and the result is what is
+        # left: the trace's 8-B list slot per evaluation (entries share
+        # their float objects) and split_ids at 8 B per split, about 12 B
+        # per evaluation in all; a tuple of int objects kept about 27 B.
+        tracemalloc.start()
+        try:
+            result = run_soo(make_objective("sphere", 10, budget=5000), 5000)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept / result.evals_used <= 16
 
     def test_integer_and_flag_columns_are_compact(self):
         # split_log, depth and leaf flag are typed columns: at most 10 B
@@ -812,10 +827,21 @@ class TestRunSoo:
             assert sys.getsizeof(column) / len(tree.cells) <= 8.5
 
     def test_split_ids_are_json_ints(self):
+        # an array("q") snapshot of the split log, 8 B per split, whose
+        # tolist() gives plain ints that JSON round-trips
         result = run_soo(make_objective("sphere", 3, budget=500), 500)
-        assert type(result.split_ids) is tuple and result.split_ids
-        assert all(type(cid) is int for cid in result.split_ids)
-        assert json.loads(json.dumps(result.split_ids)) == list(result.split_ids)
+        ids = result.split_ids
+        assert type(ids) is array and ids.typecode == "q" and ids
+        assert all(type(cid) is int for cid in ids.tolist())
+        assert json.loads(json.dumps(ids.tolist())) == list(ids)
+
+    def test_split_ids_are_a_snapshot(self):
+        # the result copies the split log: later splits do not reach it
+        tree = PartitionTree(make_objective("sphere", 2, budget=100))
+        tree.sweep()
+        result = tree.trace.result(tree.incumbent(), tree.split_log)
+        tree.sweep()
+        assert result.split_ids.tolist() == [0] and len(tree.split_log) > 1
 
     def test_sweeps_split_through_split_leaf(self, monkeypatch):
         # Tracers wrap PartitionTree.split_leaf, so every split a run makes
@@ -830,7 +856,7 @@ class TestRunSoo:
         monkeypatch.setattr(PartitionTree, "split_leaf", counting)
         result = run_soo(make_objective("rastrigin", 3, budget=2000), 2000)
         assert len(calls) == len(result.split_ids) > 0
-        assert tuple(calls) == result.split_ids
+        assert calls == result.split_ids.tolist()
 
     def test_rank_invariance_quick(self):
         base = make_objective("rastrigin", 2, budget=300)
