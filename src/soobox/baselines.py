@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UnpulledArm
-from .objectives import Objective, check_count, check_exploration, check_type
+from .objectives import Objective, check_count, check_exploration, check_real, check_type
 from .result import RunLedger, RunResult
 
 DEFAULT_EXPLORATION = 2.0
@@ -66,9 +66,12 @@ class ArmStats:
         ]
 
     def update(self, arm: int, reward: float) -> None:
+        """Record one pull; a bad arm or reward (NaN and +/-inf are valid)
+        raises ValueError before anything changes."""
         arm = self._arm(arm)
+        reward = check_real(reward, "reward")
         self.pulls[arm] += 1
-        self._sums[arm] += float(reward)
+        self._sums[arm] += reward
         self.t += 1
 
 
@@ -141,8 +144,12 @@ def run_ucb(
 def bernoulli_arms(
     probabilities: Sequence[float], seed: int
 ) -> list[Callable[[], float]]:
-    """Independent seeded Bernoulli reward sources, one stream per arm."""
+    """Independent seeded Bernoulli reward sources, one stream per arm; a
+    probability other than a real number in [0, 1] raises ValueError."""
     check_count(seed, "seed", 0)
+    for i, p in enumerate(probabilities):
+        if not 0.0 <= check_real(p, f"probabilities[{i}]") <= 1.0:
+            raise ValueError(f"probabilities[{i}] must be in [0, 1], got {p!r}")
     children = np.random.SeedSequence(seed).spawn(len(probabilities))
     arms = []
     for p, child in zip(probabilities, children):

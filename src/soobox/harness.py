@@ -15,9 +15,7 @@ formatted with 17 significant digits, which round-trips doubles exactly.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -269,18 +267,18 @@ class GridSummary:
     cells: dict[tuple[str, int, str], float | str]
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """CSV rows joined directly, as in trace_csv_text: no field (a suite
+        name, an `algo_Nd` label, a _fmt float or "error") needs quoting."""
         labels = [f"{algo}_{dim}d" for dim in self.dims for algo in self.algorithms]
-        writer.writerow(["function"] + labels)
+        rows = [["function", *labels]]
         for function in self.functions:
             row: list[str] = [function]
             for dim in self.dims:
                 for algo in self.algorithms:
                     cell = self.cells[(function, dim, algo)]
                     row.append(cell if isinstance(cell, str) else _fmt(cell))
-            writer.writerow(row)
-        return buf.getvalue()
+            rows.append(row)
+        return "".join(f"{','.join(row)}\n" for row in rows)
 
 
 def _grid_cell(config: RunConfig) -> tuple[tuple[str, int, str], float | str, str]:

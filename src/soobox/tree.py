@@ -14,28 +14,30 @@ This makes the method rank-based: only comparisons between observed values
 drive the tree, so any strictly increasing transform of the objective
 yields the identical sequence of splits.
 
-Storage: the tree reads its objective's box once and, for every other
-cell, keeps only the interval (lo, up) along the dimension its parent
-cut, (depth - 1) % D; a cell's id is its position in the columns.  Its
-interval and value live in array("d") columns, and its depth, leaf flag
-and split log in array("I"), bytearray and array("q"), so no slot holds
-a float or int object.  A leaf's heap entry is one int,
-(_order(value) << bits) | id, where bits is the bit length of the last id
-the run's cap allows: keys sort by value, then by id, so of tied values
-the earliest cell comes first.  A NaN or +/-inf leaf, which no sweep
-splits, has none.  A cell's midpoint is rebuilt by walking its nearest
-min(depth, D) ancestors, itself included, which cut distinct dimensions,
-and taking the root box for the rest; it is (lower + upper) / 2 in
-Python floats, bit-identical to the same numpy arithmetic.  The split
-dimension is depth % D, and the walk finds each parent at
-split_log[(id - 1) // S], since the k-th split appends children
-1 + k*S .. (k + 1)*S.  A split's walk builds only the leaf's midpoint
-and its interval along the split dimension; the S - 1 fresh children
-are evaluated at their midpoints, the leaf's midpoint with the split
-coordinate replaced, as one block, and the middle child keeps the
-leaf's value unevaluated.  tree.cells[k] makes one such walk that also
-fills in the corners, and returns a Cell record, a snapshot that later
-splits do not change.
+Storage: the tree reads its objective's box once and keeps one row per
+split and one per cell.  Split j appends children 1 + j*S .. (j + 1)*S,
+so cell id > 0 comes from split j = (id - 1) // S, whose row holds its
+parent, split_log[j], its S + 1 edges along the cut dimension,
+edges[(S + 1)*j ..], which adjacent children share, and its children's
+depth, depth[j + 1] (depth[0] is the root's 0).  So cell id's interval
+is edges[id - 1 + j] .. edges[id + j], its depth is
+depth[(id + S - 1) // S], and per cell the tree keeps only the value and
+the leaf flag.  The columns are array("d"), array("I"), array("q") and a
+bytearray, so no slot holds a float or int object.  A leaf's heap entry
+is one int, (_order(value) << bits) | id, where bits is the bit length
+of the last id the run's cap allows: keys sort by value, then by id, so
+of tied values the earliest cell comes first.  A NaN or +/-inf leaf,
+which no sweep splits, has none.  A cell's midpoint is rebuilt by
+walking its nearest min(depth, D) ancestors, itself included, which cut
+distinct dimensions ((depth - 1) % D downward), and taking the root box
+for the rest; it is (lower + upper) / 2 in Python floats, bit-identical
+to the same numpy arithmetic.  The split dimension is depth % D.  A
+split's walk builds only the leaf's midpoint and its interval along the
+split dimension; the S - 1 fresh children are evaluated at their
+midpoints, the leaf's midpoint with the split coordinate replaced, as
+one block, and the middle child keeps the leaf's value unevaluated.
+tree.cells[k] makes one such walk that also fills in the corners, and
+returns a Cell record, a snapshot that later splits do not change.
 
 The per-sweep depth cap follows max(1, floor((ln t)^(3/2))) with t the
 number of evaluations consumed when the sweep starts, so the tree may
@@ -166,7 +168,7 @@ class Cell:
 
 class CellsView(Sequence):
     """Read-only sequence over a tree's cells, indexed by id: each item is
-    a Cell record built by one walk of the interval log when it is read."""
+    a Cell record built by one walk of the split table when it is read."""
 
     __slots__ = ("_tree",)
 
@@ -182,10 +184,10 @@ class CellsView(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in cid]
         lower, upper = tree._root[0].copy(), tree._root[1].copy()
-        tree._walk(cid, lower, upper)
+        depth = tree._walk(cid, lower, upper)[3]
         return Cell(
-            cid, frozen(lower), frozen(upper), tree._value[cid],
-            tree._depth[cid], bool(tree._is_leaf[cid]),
+            cid, frozen(lower), frozen(upper), tree._value[cid], depth,
+            bool(tree._is_leaf[cid]),
         )
 
 
@@ -196,25 +198,19 @@ class CellsView(Sequence):
 class PartitionTree:
     """Partition state plus the evaluation trace for one run.
 
-    Cells live in an interval log: per-cell columns of the interval along
-    the dimension the parent cut, value, depth and leaf flag, plus the
-    root box read once from the objective; a cell's id is its index, and
-    its corners are derived (see the module docstring).  A cell costs the
-    same few column slots whatever D is.
-
     Leaves with finite values are tracked per depth in min-heaps of packed
     int keys, (_order(value) << bits) | id, which sort as (value, id), so
     each sweep touches only the depths it visits and never rescans the
     whole frontier.  A sweep pops the leaf it splits only after split_leaf
     returns; stale entries from direct split_leaf calls are dropped lazily.
 
-    Nothing is counted twice: the box is the objective's, read once; the
-    best-so-far trace is the run's one evaluation ledger, so eval_count is
-    its length; max_leaf_depth is the number of depth heaps minus one; the
-    trace's incumbent is the id of the cell that paid for its best value,
-    whose midpoint incumbent() returns; and the trace is a RunLedger,
-    which checks the objective and eval_budget, fixes the run's cap before
-    the root is paid for and pays for every evaluation.
+    Nothing is counted twice: the best-so-far trace is the run's one
+    evaluation ledger, so eval_count is its length; max_leaf_depth is the
+    number of depth heaps minus one; the trace's incumbent is the id of
+    the cell that paid for its best value, whose midpoint incumbent()
+    returns; and the trace is a RunLedger, which checks the objective and
+    eval_budget, fixes the run's cap before the root is paid for and pays
+    for every evaluation.
     """
 
     def __init__(
@@ -244,9 +240,7 @@ class PartitionTree:
         self._paths = [[(d - 1 - i) % self.dim for i in dims] for d in dims]
         # the slabs a split evaluates: all but the middle one
         self._fresh = [k for k in range(s) if k != s // 2]
-        # the root was cut by no parent: its slots are never read
-        self._lo = array("d", [math.nan])
-        self._up = array("d", [math.nan])
+        self._edges = array("d")
         self._value = array("d", [value])
         self._depth = array("I", [0])
         self._is_leaf = bytearray([True])
@@ -270,28 +264,29 @@ class PartitionTree:
 
     def _walk(
         self, cell_id: int, lower=None, upper=None
-    ) -> tuple[list[float], float, float]:
-        """A cell's midpoint, as a fresh list, and its interval along
-        depth % D, the dimension its split cuts.  The nearest min(depth, D)
+    ) -> tuple[list[float], float, float, int]:
+        """A cell's midpoint, as a fresh list, its interval along depth % D,
+        the dimension its split cuts, and its depth.  The nearest min(depth, D)
         cells on its path, itself first, cut the dimensions (depth - 1) % D
         downward, and the root box gives the rest; lists lower and upper,
         when given (copies of the root's corners), take those cuts too."""
         root_lower, root_upper, center = self._root
         center = center.copy()
-        los, ups, log = self._lo, self._up, self.split_log
+        edges, log = self._edges, self.split_log
         dim, s = self.dim, self.params.s_children
-        depth = self._depth[cell_id]
+        depth = self._depth[(cell_id + s - 1) // s]
         d = depth % dim
         path = self._paths[d]
         for j in path if depth >= dim else path[:depth]:
-            lo, up = los[cell_id], ups[cell_id]
+            row = (cell_id - 1) // s
+            lo, up = edges[cell_id - 1 + row], edges[cell_id + row]
             center[j] = (lo + up) / 2.0
             if lower is not None:
                 lower[j], upper[j] = lo, up
-            cell_id = log[(cell_id - 1) // s]
+            cell_id = log[row]
         if depth < dim:  # no cell on the path cut d
             lo, up = root_lower[d], root_upper[d]
-        return center, lo, up
+        return center, lo, up, depth
 
     @property
     def cells(self) -> CellsView:
@@ -315,14 +310,13 @@ class PartitionTree:
             raise NotALeaf(f"cell {leaf_id} was already split")
         s, dim = self.params.s_children, self.dim
 
-        # Along the split dimension the shared interior edges lo + k*step
-        # are computed once, so adjacent children have bit-identical
-        # boundaries, and the outer edges reuse the parent's.  A fresh
+        # Along the split dimension the interior edges lo + k*step are
+        # computed and stored once, each shared by the two children it
+        # bounds, and the outer edges reuse the parent's.  A fresh
         # child's point is the parent's midpoint with that one coordinate
         # replaced by its slab's midpoint: one row of a flat block.
         # (Loops, not comprehensions: at S items they cost less.)
-        center, lo_d, up_d = self._walk(leaf_id)
-        depth = self._depth[leaf_id]
+        center, lo_d, up_d, depth = self._walk(leaf_id)
         step = (up_d - lo_d) / s
         edges = [lo_d]
         for k in range(1, s):
@@ -340,10 +334,9 @@ class PartitionTree:
         # Center reuse: the middle slab was not evaluated; it keeps the
         # parent's value.
         values.insert(s // 2, self._value[leaf_id])
-        self._lo.fromlist(edges[:-1])
-        self._up.fromlist(edges[1:])
+        self._edges.fromlist(edges)
         self._value.fromlist(values)
-        self._depth.fromlist([depth + 1] * s)
+        self._depth.append(depth + 1)
         self._is_leaf.extend(b"\1" * s)
         self._is_leaf[leaf_id] = False
         self.split_log.append(leaf_id)

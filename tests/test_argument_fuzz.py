@@ -216,6 +216,7 @@ CALLS = [
     ("run_ucb-c", ANY, lambda v, obj: run_ucb([lambda: 1.0, lambda: 2.0], 5, v)),
     ("ArmStats", SMALL, lambda v, obj: ArmStats(v)),
     ("ArmStats.update-arm", ANY, lambda v, obj: _played_stats().update(v, 1.0)),
+    ("ArmStats.update-reward", ANY, lambda v, obj: _played_stats().update(0, v)),
     (
         "PartitionTree.split_leaf-leaf_id", ANY,
         lambda v, obj: _split_tree().split_leaf(v),
@@ -224,6 +225,10 @@ CALLS = [
     ("ucb_select-c", ANY, lambda v, obj: ucb_select(_played_stats(), v)),
     ("ucb_select-stats", SMALL, lambda v, obj: ucb_select(v)),
     ("bernoulli_arms-seed", ANY, lambda v, obj: bernoulli_arms([0.5], v)),
+    (
+        "bernoulli_arms-probability", ANY,
+        lambda v, obj: [arm() for arm in bernoulli_arms([0.5, v], 0)],
+    ),
     ("nelder_mead-objective", SMALL, lambda v, obj: nelder_mead(v, [0.5, 0.5], 10)),
     ("nelder_mead-x0", COORDS, lambda v, obj: nelder_mead(obj, v, 10)),
     ("nelder_mead-max_evals", ANY, lambda v, obj: nelder_mead(obj, [0.5, 0.5], v)),

@@ -57,6 +57,25 @@ class TestArmStats:
         with pytest.raises(ValueError):
             stats.update(2, 1.0)
 
+    @pytest.mark.parametrize(
+        "reward", [None, "2.5", True, [1.0], pytest.param(10**400, id="10**400")]
+    )
+    def test_bad_reward_changes_nothing(self, reward):
+        stats = ArmStats(2)
+        stats.update(1, 0.5)
+        with pytest.raises(ValueError):
+            stats.update(0, reward)
+        assert stats.pulls.tolist() == [0, 1] and stats.t == 1
+        assert math.isnan(stats.means[0]) and stats.means[1] == 0.5
+
+    def test_non_finite_rewards_are_recorded(self):
+        stats = ArmStats(3)
+        for arm, reward in enumerate([math.nan, math.inf, -math.inf]):
+            stats.update(arm, reward)
+        assert stats.t == 3 and stats.pulls.tolist() == [1, 1, 1]
+        assert math.isnan(stats.means[0])
+        assert stats.means[1:] == [math.inf, -math.inf]
+
 
 # =============================================================================
 # UCB selection rule
@@ -209,6 +228,19 @@ class TestRunUcb:
     def test_horizon_below_arm_count_rejected(self):
         with pytest.raises(ValueError):
             run_ucb([lambda: 0.1, lambda: 0.2], horizon=1)
+
+    @pytest.mark.parametrize(
+        "p",
+        [2.0, -1, math.nan, math.inf, -0.5, "x", None, True,
+         pytest.param(10**400, id="10**400")],
+    )
+    def test_bernoulli_probability_checked_when_built(self, p):
+        with pytest.raises(ValueError):
+            bernoulli_arms([0.5, p], seed=0)
+
+    def test_bernoulli_probability_bounds_are_valid(self):
+        arms = bernoulli_arms([0, 1.0, np.float32(0.5)], seed=0)
+        assert [arm() for arm in arms[:2]] == [0.0, 1.0]
 
     def test_bernoulli_reproducible_per_seed(self):
         a = run_ucb(bernoulli_arms([0.9, 0.1], seed=5), horizon=500)

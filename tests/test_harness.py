@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from soobox import (
     SUITE_NAMES,
     DepthSchedule,
+    GridSummary,
     Objective,
     RunConfig,
     RunResult,
@@ -506,6 +507,26 @@ class TestRunGrid:
         assert len(summary.cells) == 4
         assert (tmp_path / "summary.csv").exists()
         assert len(list(tmp_path.glob("*_300.csv"))) == 4
+
+    def test_summary_bytes_equal_csv_writer(self):
+        # the summary joins its fields directly; csv.writer, the reference,
+        # writes the same bytes for every field a grid can hold
+        cells = {
+            ("sphere", 2, "soo"): 0.5, ("sphere", 2, "random"): "error",
+            ("sphere", 10, "soo"): math.inf, ("sphere", 10, "random"): math.nan,
+            ("ackley", 2, "soo"): 1e-300, ("ackley", 2, "random"): -0.0,
+            ("ackley", 10, "soo"): 1 / 3, ("ackley", 10, "random"): 1e17,
+        }
+        summary = GridSummary(["sphere", "ackley"], [2, 10], ["soo", "random"], cells)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["function", "soo_2d", "random_2d", "soo_10d", "random_10d"])
+        for function in summary.functions:
+            writer.writerow([function] + [
+                cell if isinstance(cell, str) else format(cell, ".17g")
+                for key, cell in cells.items() if key[0] == function
+            ])
+        assert summary.to_csv_text() == buf.getvalue()
 
     def test_summary_byte_identical_across_reruns(self, tmp_path):
         args = (["sphere", "ackley"], [2], ["soo", "random"])

@@ -257,7 +257,7 @@ class TestCellViews:
         assert tree.cells[1].is_leaf is True
 
     def test_storage_grows_past_initial_rows(self):
-        # Thousands of cells extend the interval log; views taken early
+        # Thousands of cells extend the columns; views taken early
         # keep reading the same boxes.
         obj = make_objective("sphere", 2, budget=10**6)
         tree = new_tree((obj.lower, obj.upper), obj)
@@ -777,12 +777,13 @@ class TestRunSoo:
 
     @pytest.mark.parametrize("s", [3, 5, 7])
     def test_peak_bytes_per_evaluation(self, s):
-        # A cell stores one interval in float columns and one packed int
-        # heap key, and the result's split_ids is an array("q") copy of
-        # the split log: this 10-D run peaks at 93-108 B per evaluation
-        # under tracemalloc (CPython 3.11, S = 7..3), against 97-123 B
-        # with a tuple of int objects, 171-217 B with float lists and
-        # (value, id) tuples, and 431-554 B with each cell's box.
+        # A split stores its edges and child depth once, a cell its value,
+        # leaf flag and one packed int heap key, and the result's
+        # split_ids is an array("q") copy of the split log: this 10-D run
+        # peaks at 80-96 B per evaluation under tracemalloc (CPython 3.11,
+        # S = 7..3), against 93-108 B with each cell's own interval and
+        # depth, 97-123 B with a tuple of int objects, 171-217 B with float
+        # lists and (value, id) tuples, and 431-554 B with each cell's box.
         obj = make_objective("sphere", 10, budget=5000)
         tracemalloc.start()
         try:
@@ -790,7 +791,7 @@ class TestRunSoo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / result.evals_used < 124
+        assert peak / result.evals_used < 110
 
     def test_a_finished_run_keeps_16_bytes_per_evaluation(self):
         # Once run_soo returns, the tree is gone and the result is what is
@@ -806,25 +807,43 @@ class TestRunSoo:
         assert kept / result.evals_used <= 16
 
     def test_integer_and_flag_columns_are_compact(self):
-        # split_log, depth and leaf flag are typed columns: at most 10 B
-        # per cell together after a 10-D run (lists cost 20.4 B).
+        # split_log and depth are typed columns with one row per split,
+        # the leaf flag a bytearray with one per cell: at most 6 B per cell
+        # together after a 10-D run (5.2 B; 7.9 B with a depth per cell,
+        # and lists cost 20.4 B).
         obj = make_objective("sphere", 10, budget=5000)
         tree = PartitionTree(obj, eval_budget=5000)
         while tree.sweep():
             pass
         columns = (tree.split_log, tree._depth, tree._is_leaf)
         size = sum(sys.getsizeof(column) for column in columns)
-        assert size / len(tree.cells) <= 10
+        assert size / len(tree.cells) <= 6
 
     def test_float_columns_are_compact(self):
-        # interval ends and values are array("d") columns: at most 8.5 B
-        # per cell each after a 10-D run (a list slot plus its float is 32 B).
+        # edges and values are array("d") columns after a 10-D run: a
+        # split's S + 1 edges take at most 11.5 B per cell (10.9 B; 16.3 B
+        # with each cell's own lo and up) and values at most 8.5 B (a list
+        # slot plus its float is 32 B).
         obj = make_objective("sphere", 10, budget=5000)
         tree = PartitionTree(obj, eval_budget=5000)
         while tree.sweep():
             pass
-        for column in (tree._lo, tree._up, tree._value):
-            assert sys.getsizeof(column) / len(tree.cells) <= 8.5
+        assert sys.getsizeof(tree._edges) / len(tree.cells) <= 11.5
+        assert sys.getsizeof(tree._value) / len(tree.cells) <= 8.5
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_one_row_per_split(self, s):
+        # S + 1 edges and one child depth per split, depth[0] the root's
+        tree = PartitionTree(
+            make_objective("rastrigin", 3, budget=600), SooParams(s_children=s)
+        )
+        while tree.sweep():
+            pass
+        splits = len(tree.split_log)
+        assert splits > 0
+        assert len(tree._edges) == (s + 1) * splits
+        assert len(tree._depth) == 1 + splits and tree._depth[0] == 0
+        assert len(tree._value) == len(tree._is_leaf) == 1 + s * splits
 
     def test_split_ids_are_json_ints(self):
         # an array("q") snapshot of the split log, 8 B per split, whose
