@@ -23,7 +23,7 @@ from .result import RunLedger, RunResult
 DEFAULT_EXPLORATION = 2.0
 DEFAULT_GRID_RESOLUTION = 3
 GRID_ARM_CAP = 3 ** 6
-RANDOM_BLOCK = 1024
+BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +34,17 @@ RANDOM_BLOCK = 1024
 class ArmStats:
     """Pull counts and reward sums for K arms, as numpy arrays.
 
-    `pulls` is an int64 array and the sums a float64 array, so ucb_select
-    scores every arm in one vector expression.  Means are kept as
-    (sum, count) pairs so each empirical mean is the exact running
-    average of that arm's rewards.
+    `pulls` is an int64 array and the sums a float64 array, so ucb_arm
+    scores every arm in a few vector operations, into buffers kept here.
+    Means are kept as (sum, count) pairs so each empirical mean is the
+    exact running average of that arm's rewards.
     """
 
     def __init__(self, n_arms: int):
         check_count(n_arms, "n_arms", 1)
         self.pulls = np.zeros(n_arms, dtype=np.int64)
         self._sums = np.zeros(n_arms, dtype=np.float64)
+        self._score, self._bonus = np.empty(n_arms), np.empty(n_arms)
         self.t = 0
 
     @property
@@ -65,14 +66,30 @@ class ArmStats:
             for s, n in zip(self._sums.tolist(), self.pulls.tolist())
         ]
 
-    def update(self, arm: int, reward: float) -> None:
-        """Record one pull; a bad arm or reward (NaN and +/-inf are valid)
-        raises ValueError before anything changes."""
+    def update(self, arm: int, reward: float) -> float:
+        """Record one pull, returning the float reward; a bad arm or reward
+        (NaN, +/-inf are valid) raises ValueError before anything changes."""
         arm = self._arm(arm)
         reward = check_real(reward, "reward")
         self.pulls[arm] += 1
         self._sums[arm] += reward
         self.t += 1
+        return reward
+
+    def ucb_arm(self, c: float) -> int:
+        """ucb_select's arm without its checks: c must be a float from
+        check_exploration and every arm pulled at least once."""
+        score, bonus = self._score, self._bonus
+        np.divide(self._sums, self.pulls, out=score)
+        np.divide(c * math.log(self.t), self.pulls, out=bonus)
+        score += np.sqrt(bonus, out=bonus)
+        best = score.argmax()
+        # argmax returns the first NaN when there is one, but a NaN score never
+        # wins, so NaN scores become -inf and the argmax is taken again
+        if math.isnan(score[best]):
+            score[np.isnan(score)] = -math.inf
+            best = score.argmax()
+        return int(best)
 
 
 def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
@@ -84,18 +101,11 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     -inf, as after non-finite objective values) arm 0 is chosen.
     """
     check_type(stats, ArmStats, "stats")
-    check_exploration(c)
+    c = check_exploration(c)
     pulls = stats.pulls
     if np.count_nonzero(pulls) < len(pulls):
         raise UnpulledArm(f"arm {int(pulls.argmin())} has no observations")
-    score = stats._sums / pulls + np.sqrt(c * math.log(stats.t) / pulls)
-    best = score.argmax()
-    # argmax returns the first NaN when there is one, but a NaN score never
-    # wins, so NaN scores become -inf and the argmax is taken again
-    if math.isnan(score[best]):
-        score[np.isnan(score)] = -math.inf
-        best = score.argmax()
-    return int(best)
+    return stats.ucb_arm(c)
 
 
 def next_arm(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
@@ -135,9 +145,7 @@ def run_ucb(
     history: list[tuple[int, float]] = []
     for _ in range(horizon):
         arm = next_arm(stats, c)
-        reward = float(reward_sources[arm]())
-        stats.update(arm, reward)
-        history.append((arm, reward))
+        history.append((arm, stats.update(arm, reward_sources[arm]())))
     return UcbRun(history=history, stats=stats)
 
 
@@ -166,7 +174,7 @@ def bernoulli_arms(
 def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult:
     """Evaluate i.i.d. uniform points from a seeded generator.
 
-    Points are drawn and evaluated in blocks of up to RANDOM_BLOCK rows:
+    Points are drawn and evaluated in blocks of up to BLOCK rows:
     one `rng.uniform(lower, upper, size=(k, D))` draw yields the same
     stream as k single-point draws, and each block goes through the
     metered, all-or-nothing Objective.evaluate_batch.  If an evaluation
@@ -177,7 +185,7 @@ def run_random_search(objective: Objective, budget: int, seed: int) -> RunResult
     ledger = RunLedger(objective, check_count(budget, "budget", 1))
     rng = np.random.default_rng(seed)
     while ledger.left:
-        k = min(RANDOM_BLOCK, ledger.left)
+        k = min(BLOCK, ledger.left)
         points = rng.uniform(objective.lower, objective.upper, size=(k, objective.dim))
         ledger.evaluate_batch(points, points)
     return ledger.result(ledger.incumbent.copy())
@@ -210,22 +218,34 @@ def run_ucb_grid(
     """Bandit over grid-cell centers: reward of an arm = -f(center).
 
     The box is cut into a lattice (see grid_divisions); each lattice cell's
-    center is an arm.  Pulls re-evaluate the center and count against the
-    budget, keeping the comparison with the other optimizers honest even
-    though the objective is deterministic.
+    center is an arm.  The objective is taken as deterministic, so an arm's
+    reward is its first pull's: every arm is pulled once, in index order,
+    as one block, then UCB schedules up to BLOCK pulls at a time from those
+    rewards.  Each pull still re-evaluates its center against the budget,
+    keeping the comparison with the other optimizers honest; a block whose
+    evaluation raises meters nothing.  A noisy objective's statistics see
+    each arm's first value only; run_ucb plays noisy rewards.
     """
     check_type(objective, Objective, "objective")
-    check_exploration(c)
+    c = check_exploration(c)
     divisions = grid_divisions(objective.dim, resolution)
     ledger = RunLedger(objective, check_count(budget, "budget", 1))
     axes = []
     for j, m in enumerate(divisions):
         width = (objective.upper[j] - objective.lower[j]) / m
         axes.append([objective.lower[j] + (i + 0.5) * width for i in range(m)])
-    centers = [np.array(point) for point in itertools.product(*axes)]
+    table = np.array(list(itertools.product(*axes)))
 
-    stats = ArmStats(len(centers))
+    stats = ArmStats(len(table))
+    first = table[: ledger.left]
+    values = ledger.evaluate_batch(first, first)
+    rewards = [stats.update(arm, -value) for arm, value in enumerate(values)]
     while ledger.left:
-        arm = next_arm(stats, c)
-        stats.update(arm, -ledger.evaluate(centers[arm], centers[arm]))
+        arms = []
+        for _ in range(min(BLOCK, ledger.left)):
+            arm = stats.ucb_arm(c)
+            stats.update(arm, rewards[arm])
+            arms.append(arm)
+        points = table[arms]
+        ledger.evaluate_batch(points, points)
     return ledger.result(ledger.incumbent.copy())

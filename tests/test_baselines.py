@@ -1,5 +1,6 @@
 """Tests for UCB selection, the bandit runner, and the box-domain baselines."""
 
+import itertools
 import math
 import statistics
 
@@ -20,7 +21,7 @@ from soobox import (
     run_ucb_grid,
     ucb_select,
 )
-from soobox.baselines import grid_divisions
+from soobox.baselines import BLOCK, grid_divisions, next_arm
 from soobox.objectives import check_exploration
 from soobox.result import TraceRecorder
 
@@ -204,6 +205,21 @@ class TestUcbSelectOracle:
     def test_vector_rule_picks_the_scalar_loops_arm(self, stats, c):
         assert ucb_select(stats, c) == reference_ucb_select(stats, c)
 
+    @given(
+        stats=pulled_stats(),
+        c=st.sampled_from([0.0, 0.01, 2.0]),
+        # no infinite reward: adding one to a sum of the other sign warns
+        rewards=st.lists(st.floats(-1e6, 1e6) | st.just(math.nan), min_size=1, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_steps_with_the_scalar_loop(self, stats, c, rewards):
+        # run_ucb_grid's loop, ucb_arm then update, against ucb_select and the
+        # scalar loop at every pull, as sums drift into ties, NaN and -inf
+        for reward in rewards:
+            arm = stats.ucb_arm(c)
+            assert arm == ucb_select(stats, c) == reference_ucb_select(stats, c)
+            stats.update(arm, reward)
+
 
 # =============================================================================
 # Bandit runner
@@ -224,6 +240,29 @@ class TestRunUcb:
         assert run.stats.pulls[1] > run.stats.pulls[0]
         assert len(run.history) == 50
         assert sum(run.stats.pulls) == 50
+
+    @pytest.mark.parametrize("reward", ["2.5", True, None])
+    def test_reward_checked_before_it_is_recorded(self, reward):
+        with pytest.raises(ValueError, match="reward must be a real number"):
+            run_ucb([lambda: 0.5, lambda: reward], horizon=4)
+
+    def test_history_records_the_checked_float(self):
+        run = run_ucb([lambda: 1, lambda: np.float32(0.5)], horizon=2)
+        assert run.history == [(0, 1.0), (1, 0.5)]
+        assert all(type(reward) is float for _, reward in run.history)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seeded_history_matches_a_float_loop(self, seed):
+        # the loop before rewards were checked by update, which called float()
+        sources = bernoulli_arms([0.9, 0.1, 0.5], seed=seed)
+        stats, history = ArmStats(3), []
+        for _ in range(300):
+            arm = next_arm(stats)
+            reward = float(sources[arm]())
+            stats.update(arm, reward)
+            history.append((arm, reward))
+        run = run_ucb(bernoulli_arms([0.9, 0.1, 0.5], seed=seed), horizon=300)
+        assert run.history == history
 
     def test_horizon_below_arm_count_rejected(self):
         with pytest.raises(ValueError):
@@ -405,3 +444,91 @@ class TestUcbGrid:
     def test_trace_contract_holds(self):
         result = run_ucb_grid(make_objective("rastrigin", 3, budget=120), 120)
         result.check()
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    def test_fault_in_the_second_schedule_block(self, fault):
+        # 9 arms, then schedule blocks of BLOCK pulls; call k is in the second
+        arms, calls, k = 9, 0, 9 + BLOCK + 5
+
+        def fn(x):
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                if fault == "raise":
+                    raise RuntimeError("injected")
+                return math.nan
+            return float(np.sum(x * x))
+
+        obj = Objective(fn, -np.ones(2), np.ones(2), budget=3000)
+        if fault == "raise":
+            with pytest.raises(RuntimeError, match="injected"):
+                run_ucb_grid(obj, 3000, resolution=3)
+            assert obj.meter == arms + BLOCK
+            return
+        result = run_ucb_grid(obj, 3000, resolution=3)
+        assert obj.meter == result.evals_used == len(result.trace) == 3000
+        result.check()  # monotone: the NaN value never becomes the incumbent
+        assert math.isfinite(result.best_value)
+
+
+class RecordingObjective(Objective):
+    """An objective that records every point its per-point fn receives.
+
+    Values are squared distances scaled to about [0, 1], as UCB's bonus is,
+    and rounded to 0.1 so that centers tie; NaN where the first coordinate
+    is low and +inf where the last is high."""
+
+    def __init__(self, dim: int, budget: int):
+        self.seen = []
+
+        def fn(x):
+            self.seen.append(x.copy())
+            if x[0] < -3.0:
+                return math.nan
+            if x[-1] > 3.0:
+                return math.inf
+            return float(np.round(np.sum((x - 0.5) ** 2) / (25.0 * dim), 1))
+
+        super().__init__(fn, np.full(dim, -5.0), np.full(dim, 5.0), budget)
+
+
+def reference_ucb_grid(objective, budget, resolution, c=2.0):
+    """The per-pull loop: one Objective.evaluate per pull, each arm once in
+    index order, then ucb_select, every reward from the pull's own value."""
+    axes = []
+    for j, m in enumerate(grid_divisions(objective.dim, resolution)):
+        width = (objective.upper[j] - objective.lower[j]) / m
+        axes.append([objective.lower[j] + (i + 0.5) * width for i in range(m)])
+    centers = [np.array(point) for point in itertools.product(*axes)]
+    stats, trace = ArmStats(len(centers)), TraceRecorder()
+    for _ in range(min(budget, objective.remaining)):
+        arm = stats.t if stats.t < stats.n_arms else ucb_select(stats, c)
+        value = objective.evaluate(centers[arm])
+        stats.update(arm, -value)
+        trace.record(value, centers[arm])
+    return trace
+
+
+def grid_oracle_cases():
+    for resolution, dim in itertools.product([1, 2, 3], [1, 2, 5, 10]):
+        arms = math.prod(grid_divisions(dim, resolution))
+        for extra in (-1, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+            if arms + extra >= 1:
+                yield resolution, dim, arms + extra, arms + extra
+    yield 3, 2, 3000, 1500  # the objective's budget is the cap
+
+
+class TestUcbGridSequenceOracle:
+    @pytest.mark.parametrize("resolution, dim, budget, objective_budget", grid_oracle_cases())
+    def test_block_pulls_evaluate_the_per_pull_sequence(
+        self, resolution, dim, budget, objective_budget
+    ):
+        reference = RecordingObjective(dim, objective_budget)
+        trace = reference_ucb_grid(reference, budget, resolution)
+        obj = RecordingObjective(dim, objective_budget)
+        result = run_ucb_grid(obj, budget, resolution)
+        assert np.array_equal(np.array(obj.seen), np.array(reference.seen))
+        # as bytes, so that NaN entries compare equal
+        assert np.array(result.trace).tobytes() == np.array(trace.entries).tobytes()
+        assert result.best_point.tobytes() == trace.incumbent.tobytes()
+        assert obj.meter == reference.meter == min(budget, objective_budget)

@@ -40,3 +40,15 @@ def test_only_the_owner_calls(pattern, owners):
         if re.search(pattern, line)
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_one_ucb_index():
+    # the UCB1 exploration term, c * ln t, is written once: in ArmStats.ucb_arm,
+    # which ucb_select and run_ucb_grid both call
+    matches = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\*\s*(math|np)\.log\(", line)
+    ]
+    assert len(matches) == 1 and matches[0].startswith("baselines.py:"), matches
