@@ -71,8 +71,11 @@ class ArmStats:
         (NaN, +/-inf are valid) raises ValueError before anything changes."""
         arm = self._arm(arm)
         reward = check_real(reward, "reward")
+        # a float sum, as numpy's scalar add warns on +inf plus -inf; the
+        # IEEE result, NaN, is the same
+        total = self._sums.item(arm) + reward
         self.pulls[arm] += 1
-        self._sums[arm] += reward
+        self._sums[arm] = total
         self.t += 1
         return reward
 

@@ -21,9 +21,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .baselines import (
     DEFAULT_EXPLORATION,
@@ -145,8 +147,10 @@ def run_algorithm(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-# The trace CSV is joined per block of rows, and text is written per slice
-# of characters, so neither step holds a second copy of a whole file.
+# A trace CSV is written as it is formatted, one block of rows at a time,
+# and other text is written in slices of characters, so no write holds a
+# second copy of a whole file; a trace's whole text exists only when
+# trace_csv_text is asked for it.
 _CSV_BLOCK_ROWS = 4096
 _WRITE_CHARS = 64 * 1024
 
@@ -155,7 +159,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """A new text file that replaces `path` when the block ends normally.
+
+    On any error, the block's or the replace's, the temp file is removed
+    and the error propagates, so `path` keeps its old content.
+    """
     # Each writer gets its own temp name, so writers of one path never
     # share a temp file.  Exclusive mode refuses to reuse an existing
     # file and, unlike mkstemp's 0600, keeps the default permissions.
@@ -164,25 +174,29 @@ def _atomic_write(path: Path, text: str) -> None:
     handle = open(tmp, "x")
     try:
         with handle:
-            # str slices cut between code points, never inside a character
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start:start + _WRITE_CHARS])
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def trace_csv_text(result: RunResult, f_star: float | None) -> str:
-    """The trace as CSV rows `eval_index,best_value,ratio`; row i is evaluation i.
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_file(path) as handle:
+        # str slices cut between code points, never inside a character
+        for start in range(0, len(text), _WRITE_CHARS):
+            handle.write(text[start:start + _WRITE_CHARS])
+
+
+def _trace_csv_blocks(result: RunResult, f_star: float | None) -> Iterator[str]:
+    """The trace CSV's header, then its rows joined per _CSV_BLOCK_ROWS.
 
     The best-so-far value repeats over long runs of rows, so its text (and
     its ratio's) is formatted once per distinct value object.  No field
-    can contain a delimiter or quote, so rows are joined directly, per
-    block of _CSV_BLOCK_ROWS, and then the blocks.
+    can contain a delimiter or quote, so rows are joined directly.
     """
     trace = result.trace
-    blocks = ["eval_index,best_value,ratio\n"]
+    yield "eval_index,best_value,ratio\n"
     last = tail = None
     for start in range(0, len(trace), _CSV_BLOCK_ROWS):
         rows = []
@@ -194,8 +208,16 @@ def trace_csv_text(result: RunResult, f_star: float | None) -> str:
                 ratio = ratio_to_optimum(value, f_star)
                 tail = f"{_fmt(value)},{'' if ratio is None else _fmt(ratio)}"
             rows.append(f"{index},{tail}\n")
-        blocks.append("".join(rows))
-    return "".join(blocks)
+        yield "".join(rows)
+
+
+def trace_csv_text(result: RunResult, f_star: float | None) -> str:
+    """The trace as CSV rows `eval_index,best_value,ratio`; row i is evaluation i.
+
+    The whole text of what run_experiment writes to `<stem>.csv` block by
+    block, for callers that hash or compare it.
+    """
+    return "".join(_trace_csv_blocks(result, f_star))
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -235,7 +257,8 @@ def run_experiment(config: RunConfig) -> RunResult:
         out = Path(config.output_dir)
         f_star = _suite_f_star(config)
         if "csv" in config.formats:
-            _atomic_write(out / f"{config.stem}.csv", trace_csv_text(result, f_star))
+            with _atomic_file(out / f"{config.stem}.csv") as handle:
+                handle.writelines(_trace_csv_blocks(result, f_star))
         if "json" in config.formats:
             _atomic_write(
                 out / f"{config.stem}.json",

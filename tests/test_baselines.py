@@ -77,6 +77,16 @@ class TestArmStats:
         assert math.isnan(stats.means[0])
         assert stats.means[1:] == [math.inf, -math.inf]
 
+    @pytest.mark.parametrize("first, second", [(math.inf, -math.inf), (-math.inf, math.inf)])
+    def test_opposite_infinities_sum_to_nan_without_warning(self, first, second):
+        # the suite turns warnings into errors, so a warning here would
+        # also fail the update after its pull was counted
+        stats = ArmStats(2)
+        assert stats.update(0, first) == first
+        assert stats.update(0, second) == second
+        assert stats.pulls.tolist() == [2, 0] and stats.t == 2
+        assert math.isnan(stats.means[0])
+
 
 # =============================================================================
 # UCB selection rule
@@ -208,13 +218,16 @@ class TestUcbSelectOracle:
     @given(
         stats=pulled_stats(),
         c=st.sampled_from([0.0, 0.01, 2.0]),
-        # no infinite reward: adding one to a sum of the other sign warns
-        rewards=st.lists(st.floats(-1e6, 1e6) | st.just(math.nan), min_size=1, max_size=40),
+        rewards=st.lists(
+            st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf]),
+            min_size=1,
+            max_size=40,
+        ),
     )
     @settings(max_examples=150, deadline=None)
     def test_kernel_steps_with_the_scalar_loop(self, stats, c, rewards):
         # run_ucb_grid's loop, ucb_arm then update, against ucb_select and the
-        # scalar loop at every pull, as sums drift into ties, NaN and -inf
+        # scalar loop at every pull, as sums drift into ties, NaN and +/-inf
         for reward in rewards:
             arm = stats.ucb_arm(c)
             assert arm == ucb_select(stats, c) == reference_ucb_select(stats, c)

@@ -1,6 +1,7 @@
 """Tests for experiment configs, file artifacts, grids, and the CLI."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -424,6 +425,70 @@ class TestAtomicWrite:
         assert errors == []
         assert target.read_text() in texts
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestStreamedTraceCsv:
+    """run_experiment writes `<stem>.csv` block by block, atomically."""
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_custom_objective_file_equals_text(self, rows, tmp_path, monkeypatch):
+        # run_experiment takes suite configs only, so the custom objective's
+        # run (f_star None) is handed to it in place of run_algorithm's
+        objective = Objective(lambda x: float(x[0] + x[1]), [0, 0], [1, 1], rows)
+        result = run_random_search(objective, rows, 0)
+        config = RunConfig("sphere", 2, budget=rows, output_dir=tmp_path)
+        monkeypatch.setattr(harness, "run_algorithm", lambda _: result)
+        monkeypatch.setattr(harness, "_suite_f_star", lambda _: result.f_star)
+        assert result.f_star is None
+        assert run_experiment(config) is result
+        written = (tmp_path / f"{config.stem}.csv").read_bytes()
+        assert written == trace_csv_text(result, None).encode()
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_suite_function_file_equals_text(self, rows, tmp_path):
+        config = RunConfig(
+            "rastrigin", 2, budget=rows, algorithm="random", output_dir=tmp_path
+        )
+        result = run_experiment(config)
+        assert result.evals_used == rows
+        written = (tmp_path / f"{config.stem}.csv").read_bytes()
+        assert written == trace_csv_text(result, harness._suite_f_star(config)).encode()
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        config = RunConfig("sphere", 2, budget=5000, algorithm="random", output_dir=tmp_path)
+        run_experiment(config)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        blocks = harness._trace_csv_blocks
+
+        def failing_blocks(result, f_star):
+            source = blocks(result, f_star)
+            yield next(source)  # the header
+            yield next(source)  # the first 4,096 rows, past the file's buffer
+            raise OSError("disk on fire")
+
+        monkeypatch.setattr(harness, "_trace_csv_blocks", failing_blocks)
+        with pytest.raises(OSError, match="disk on fire"):
+            run_experiment(dataclasses.replace(config, seed=1))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+        assert sorted(old) == [f"{config.stem}.csv", f"{config.stem}.json"]
+
+    def test_streamed_write_holds_no_whole_file(self, tmp_path, monkeypatch):
+        # a 10^5-row trace makes a 4.4 MB file; formatting it whole and then
+        # writing it peaked at 8.7 MB, streaming it one block at a time at 0.8 MB
+        config = RunConfig(
+            "composite3", 10, budget=100_000, algorithm="random",
+            output_dir=tmp_path, formats=("csv",),
+        )
+        result = run_algorithm(config)  # outside the measured window
+        monkeypatch.setattr(harness, "run_algorithm", lambda _: result)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / f"{config.stem}.csv").stat().st_size > 4 * 10**6
+        assert peak <= 1.5 * 2**20
 
 
 # =============================================================================
