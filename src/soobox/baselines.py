@@ -9,6 +9,7 @@ harness can compare them head to head.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,67 +33,117 @@ BLOCK = 1024
 
 
 class ArmStats:
-    """Pull counts and reward sums for K arms, as numpy arrays.
+    """Pull counts and reward sums for K arms, kept grouped by pull count.
 
-    `pulls` is an int64 array and the sums a float64 array, so ucb_arm
-    scores every arm in a few vector operations, into buffers kept here.
     Means are kept as (sum, count) pairs so each empirical mean is the
-    exact running average of that arm's rewards.
+    exact running average of that arm's rewards.  `pulls` is a read-only
+    int64 view of the counts: only update changes one.
+
+    From the first pick on, the arms are also kept in one group per pull
+    count n, each sorted by (mean descending, index ascending); update
+    moves an arm from group n to group n + 1 with bisect.  Every arm of a
+    group shares the bonus sqrt(c * ln t / n), and rounding mean + bonus
+    never reverses the order of two means, so no arm of a group outscores
+    its leader and ucb_arm scores one leader per group: a pick costs O(G)
+    for G distinct pull counts, not O(K).  A NaN mean stays NaN and scores
+    NaN, which never wins, so such an arm leaves the groups.
     """
 
     def __init__(self, n_arms: int):
         check_count(n_arms, "n_arms", 1)
-        self.pulls = np.zeros(n_arms, dtype=np.int64)
+        self._pulls = np.zeros(n_arms, dtype=np.int64)
         self._sums = np.zeros(n_arms, dtype=np.float64)
-        self._score, self._bonus = np.empty(n_arms), np.empty(n_arms)
+        self._pulls_view = self._pulls.view()
+        self._pulls_view.flags.writeable = False
+        # {pull count: [(-mean, arm), ...] sorted}, built at the first pick
+        self._groups: dict[int, list[tuple[float, int]]] | None = None
         self.t = 0
 
     @property
-    def n_arms(self) -> int:
-        return len(self.pulls)
+    def pulls(self) -> np.ndarray:
+        """Per-arm pull counts, a read-only int64 view."""
+        return self._pulls_view
 
-    def _arm(self, arm) -> int:
-        """arm as an int; ValueError unless it is the index of an arm."""
-        arm = check_count(arm, "arm", 0)
-        if arm >= self.n_arms:
-            raise ValueError(f"no arm with index {arm}")
-        return arm
+    @property
+    def n_arms(self) -> int:
+        return len(self._pulls)
 
     @property
     def means(self) -> list[float]:
         """Per-arm empirical means, NaN for arms never pulled."""
         return [
             s / n if n else math.nan
-            for s, n in zip(self._sums.tolist(), self.pulls.tolist())
+            for s, n in zip(self._sums.tolist(), self._pulls.tolist())
         ]
 
     def update(self, arm: int, reward: float) -> float:
         """Record one pull, returning the float reward; a bad arm or reward
         (NaN, +/-inf are valid) raises ValueError before anything changes."""
-        arm = self._arm(arm)
+        arm = check_count(arm, "arm", 0)
+        if arm >= len(self._pulls):
+            raise ValueError(f"no arm with index {arm}")
         reward = check_real(reward, "reward")
-        # a float sum, as numpy's scalar add warns on +inf plus -inf; the
-        # IEEE result, NaN, is the same
-        total = self._sums.item(arm) + reward
-        self.pulls[arm] += 1
-        self._sums[arm] = total
+        # float arithmetic, as numpy's scalar add warns on +inf plus -inf;
+        # the IEEE result, NaN, is the same
+        n, total = self._pulls.item(arm), self._sums.item(arm)
+        self._pulls[arm] = n + 1
+        self._sums[arm] = total + reward
         self.t += 1
+        groups = self._groups
+        if groups is not None:
+            old, new = total / n, (total + reward) / (n + 1)
+            if not math.isnan(old):
+                group = groups[n]
+                # ucb_arm's pick is most often its group's leader
+                if group[0][1] == arm:
+                    del group[0]
+                else:
+                    del group[bisect.bisect_left(group, (-old, arm))]
+                if not group:
+                    del groups[n]
+            if not math.isnan(new):
+                bisect.insort(groups.setdefault(n + 1, []), (-new, arm))
         return reward
 
     def ucb_arm(self, c: float) -> int:
         """ucb_select's arm without its checks: c must be a float from
         check_exploration and every arm pulled at least once."""
-        score, bonus = self._score, self._bonus
-        np.divide(self._sums, self.pulls, out=score)
-        np.divide(c * math.log(self.t), self.pulls, out=bonus)
-        score += np.sqrt(bonus, out=bonus)
-        best = score.argmax()
-        # argmax returns the first NaN when there is one, but a NaN score never
-        # wins, so NaN scores become -inf and the argmax is taken again
-        if math.isnan(score[best]):
-            score[np.isnan(score)] = -math.inf
-            best = score.argmax()
-        return int(best)
+        if self._groups is None:
+            self._groups = {}
+            counts = self._pulls.tolist()
+            for arm, (s, n) in enumerate(zip(self._sums.tolist(), counts)):
+                mean = s / n
+                if not math.isnan(mean):
+                    self._groups.setdefault(n, []).append((-mean, arm))
+            for group in self._groups.values():
+                group.sort()
+        log_term = c * math.log(self.t)
+        best, arm = -math.inf, 0
+        for n, group in self._groups.items():
+            bonus = math.sqrt(log_term / n)
+            score = bonus - group[0][0]  # the leader's mean + bonus
+            # strict > from -inf: a NaN score never wins, and arm 0 stays
+            # picked while no score exceeds -inf
+            if score > best:
+                best, arm = score, self._first_scoring(group, bonus, score)
+            elif score == best:
+                arm = min(arm, self._first_scoring(group, bonus, score))
+        return arm
+
+    def _first_scoring(self, group: list, bonus: float, score: float) -> int:
+        """The smallest index in group whose arm scores `score`, the leader's.
+
+        Such means are a prefix of the group, as rounding keeps their
+        order, and each run of equal means starts with its smallest index,
+        so the search skips the rest of a run with bisect, never arm by arm."""
+        arm, i, end = group[0][1], 1, len(group)
+        while i < end and bonus - group[i][0] == score:
+            if group[i][0] == group[i - 1][0]:
+                i = bisect.bisect_right(group, (group[i][0], self.n_arms), i)
+            else:
+                arm = min(arm, group[i][1])
+                i += 1
+        return arm
 
 
 def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:

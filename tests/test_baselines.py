@@ -3,6 +3,7 @@
 import itertools
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from soobox import (
     run_ucb_grid,
     ucb_select,
 )
-from soobox.baselines import BLOCK, grid_divisions, next_arm
+from soobox.baselines import BLOCK, GRID_ARM_CAP, grid_divisions, next_arm
 from soobox.objectives import check_exploration
 from soobox.result import TraceRecorder
 
@@ -192,6 +193,8 @@ REWARD_SUMS = st.one_of(
     st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
 )
 ARMS = st.tuples(REWARD_SUMS, st.integers(1, 1000))
+# the largest c makes the bonus +inf once c * ln t overflows
+EXPLORATION = st.sampled_from([0.0, 0.01, 2.0, sys.float_info.max])
 
 
 @st.composite
@@ -202,22 +205,24 @@ def pulled_stats(draw):
         st.lists(st.one_of(st.sampled_from(pool), ARMS), min_size=1, max_size=800)
     )
     stats = ArmStats(len(arms))
+    # the private arrays, before the first pick builds the groups from them:
+    # `pulls` is a read-only view
     for arm, (total, pulls) in enumerate(arms):
         stats._sums[arm] = total
-        stats.pulls[arm] = pulls
+        stats._pulls[arm] = pulls
     stats.t = sum(pulls for _, pulls in arms)
     return stats
 
 
 class TestUcbSelectOracle:
-    @given(stats=pulled_stats(), c=st.sampled_from([0.0, 0.01, 2.0]))
+    @given(stats=pulled_stats(), c=EXPLORATION)
     @settings(max_examples=300, deadline=None)
     def test_vector_rule_picks_the_scalar_loops_arm(self, stats, c):
         assert ucb_select(stats, c) == reference_ucb_select(stats, c)
 
     @given(
         stats=pulled_stats(),
-        c=st.sampled_from([0.0, 0.01, 2.0]),
+        c=EXPLORATION,
         rewards=st.lists(
             st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf]),
             min_size=1,
@@ -232,6 +237,73 @@ class TestUcbSelectOracle:
             arm = stats.ucb_arm(c)
             assert arm == ucb_select(stats, c) == reference_ucb_select(stats, c)
             stats.update(arm, reward)
+
+
+class TestUcbKernelEdges:
+    """Deterministic cases for the grouped kernel, each against the scalar loop."""
+
+    @staticmethod
+    def pick(stats, c):
+        arm = ucb_select(stats, c)
+        assert arm == reference_ucb_select(stats, c)
+        return arm
+
+    @pytest.mark.parametrize("low_first", [True, False])
+    def test_means_one_ulp_apart_round_to_one_score(self, low_first):
+        # one pull each, so one group; a bonus of about 1,050 rounds both
+        # means, one ulp apart, to the same score, and the smaller index wins
+        low, high = 0.3, math.nextafter(0.3, math.inf)
+        means = [low, high] if low_first else [high, low]
+        stats = stats_from([(means[0], 1), (means[1], 1), (0.0, 1)])
+        c = 1e6
+        bonus = math.sqrt(c * math.log(3) / 1)
+        assert low + bonus == high + bonus
+        assert self.pick(stats, c) == 0
+
+    def test_a_tie_behind_a_run_of_equal_means(self):
+        # arms 1 to 3 share the top mean; arm 0, one ulp lower, ties with
+        # them after rounding and wins; arm 4 is far below
+        top = 0.3
+        below = math.nextafter(top, -math.inf)
+        stats = stats_from([(below, 1), (top, 1), (top, 1), (top, 1), (-50.0, 1)])
+        assert self.pick(stats, 1e6) == 0
+
+    @pytest.mark.parametrize(
+        "layout, expected",
+        [
+            (["four", "one"], 0),
+            (["one", "four"], 0),
+            # the group scored first holds the tied leader with the larger index
+            (["low", "four", "one"], 1),
+        ],
+    )
+    def test_equal_leader_scores_tie_to_the_smaller_index(self, layout, expected):
+        # a leader with 4 pulls and one with 1 pull, whose mean is chosen so
+        # that both scores are the same float
+        c, t = 2.0, 5 + layout.count("low")
+        score = 0.25 + math.sqrt(c * math.log(t) / 4)
+        mean = score - math.sqrt(c * math.log(t) / 1)
+        assert mean + math.sqrt(c * math.log(t) / 1) == score
+        arms = {"four": (0.25, 4), "one": (mean, 1), "low": (-5.0, 1)}
+        stats = stats_from([arms[name] for name in layout])
+        assert stats.t == t
+        assert self.pick(stats, c) == expected
+
+    def test_infinite_bonus(self):
+        # c * ln t overflows to +inf once t >= 3: every score is +inf but a
+        # -inf mean's, which is NaN and never wins
+        c = sys.float_info.max
+        assert self.pick(stats_from([(-math.inf, 1), (0.0, 1), (5.0, 2)]), c) == 1
+        assert self.pick(stats_from([(-math.inf, 2), (-math.inf, 1), (1.0, 3)]), c) == 2
+        # every score NaN: arm 0
+        assert self.pick(stats_from([(-math.inf, 1), (-math.inf, 2)]), c) == 0
+
+    def test_pulls_are_read_only(self):
+        stats = stats_from([(0.5, 2), (0.1, 1)])
+        with pytest.raises(ValueError):
+            stats.pulls[0] = 1
+        assert stats.pulls.tolist() == [2, 1]
+        assert ucb_select(stats) == reference_ucb_select(stats, 2.0)
 
 
 # =============================================================================
@@ -489,13 +561,16 @@ class RecordingObjective(Objective):
 
     Values are squared distances scaled to about [0, 1], as UCB's bonus is,
     and rounded to 0.1 so that centers tie; NaN where the first coordinate
-    is low and +inf where the last is high."""
+    is low and +inf where the last is high.  Given `value`, every center
+    has that value instead, so every arm ties."""
 
-    def __init__(self, dim: int, budget: int):
+    def __init__(self, dim: int, budget: int, value: float | None = None):
         self.seen = []
 
         def fn(x):
             self.seen.append(x.copy())
+            if value is not None:
+                return value
             if x[0] < -3.0:
                 return math.nan
             if x[-1] > 3.0:
@@ -507,7 +582,8 @@ class RecordingObjective(Objective):
 
 def reference_ucb_grid(objective, budget, resolution, c=2.0):
     """The per-pull loop: one Objective.evaluate per pull, each arm once in
-    index order, then ucb_select, every reward from the pull's own value."""
+    index order, then the scalar selection loop, every reward from the
+    pull's own value."""
     axes = []
     for j, m in enumerate(grid_divisions(objective.dim, resolution)):
         width = (objective.upper[j] - objective.lower[j]) / m
@@ -515,7 +591,7 @@ def reference_ucb_grid(objective, budget, resolution, c=2.0):
     centers = [np.array(point) for point in itertools.product(*axes)]
     stats, trace = ArmStats(len(centers)), TraceRecorder()
     for _ in range(min(budget, objective.remaining)):
-        arm = stats.t if stats.t < stats.n_arms else ucb_select(stats, c)
+        arm = stats.t if stats.t < stats.n_arms else reference_ucb_select(stats, c)
         value = objective.evaluate(centers[arm])
         stats.update(arm, -value)
         trace.record(value, centers[arm])
@@ -527,18 +603,23 @@ def grid_oracle_cases():
         arms = math.prod(grid_divisions(dim, resolution))
         for extra in (-1, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
             if arms + extra >= 1:
-                yield resolution, dim, arms + extra, arms + extra
-    yield 3, 2, 3000, 1500  # the objective's budget is the cap
+                yield resolution, dim, arms + extra, arms + extra, None
+    yield 3, 2, 3000, 1500, None  # the objective's budget is the cap
+    # 729 equal rewards: every pick ties across a whole pull-count group
+    budget = GRID_ARM_CAP + 2 * BLOCK + 1
+    yield 3, 6, budget, budget, 0.25
 
 
 class TestUcbGridSequenceOracle:
-    @pytest.mark.parametrize("resolution, dim, budget, objective_budget", grid_oracle_cases())
+    @pytest.mark.parametrize(
+        "resolution, dim, budget, objective_budget, value", grid_oracle_cases()
+    )
     def test_block_pulls_evaluate_the_per_pull_sequence(
-        self, resolution, dim, budget, objective_budget
+        self, resolution, dim, budget, objective_budget, value
     ):
-        reference = RecordingObjective(dim, objective_budget)
+        reference = RecordingObjective(dim, objective_budget, value)
         trace = reference_ucb_grid(reference, budget, resolution)
-        obj = RecordingObjective(dim, objective_budget)
+        obj = RecordingObjective(dim, objective_budget, value)
         result = run_ucb_grid(obj, budget, resolution)
         assert np.array_equal(np.array(obj.seen), np.array(reference.seen))
         # as bytes, so that NaN entries compare equal

@@ -7,7 +7,9 @@ module meters an objective itself, fixes a cap of its own, builds a
 trace or a RunResult, or records a value outside the ledger.
 """
 
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,14 @@ def test_one_ucb_index():
         if re.search(r"\*\s*(math|np)\.log\(", line)
     ]
     assert len(matches) == 1 and matches[0].startswith("baselines.py:"), matches
+    # and the bonus's square root is taken on one line of code, so update
+    # carries no second copy of the index formula; docstrings and comments
+    # are not code, so this reads tokens, not lines
+    source = (Path(soobox.__file__).parent / "baselines.py").read_text()
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    lines = {
+        name.start[0]
+        for name, bracket in zip(tokens, tokens[1:])
+        if (name.type, name.string, bracket.string) == (tokenize.NAME, "sqrt", "(")
+    }
+    assert len(lines) == 1, sorted(lines)
