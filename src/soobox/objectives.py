@@ -15,11 +15,12 @@ every evaluation against a hard budget and rejects points outside the box.
 Evaluation works on blocks.  Each suite function maps an (m, D) block of
 points to its m values in one numpy pass, and every value is bit-identical
 to the same function evaluated on that row alone.  Objective.evaluate_batch
-makes one call per block; evaluate and raw pass the (1, D) block holding
-their point through the same call.  A user function written per point is
-wrapped once in a row loop (Objective's vectorized=False, the default).  A
-block is metered all-or-nothing: a call that raises, or returns other than
-m values, meters nothing of its block.
+alone meters: it checks a block, makes one call on it and advances the
+meter.  evaluate is evaluate_batch of the (1, D) block holding its point,
+and raw passes that block to the same function unmetered.  A user function
+written per point is wrapped once in a row loop (Objective's
+vectorized=False, the default).  A block is metered all-or-nothing: a call
+that raises, or returns other than m values, meters nothing of its block.
 """
 
 from __future__ import annotations
@@ -331,12 +332,13 @@ class Objective:
     holding their point.  A per-point fn is wrapped once in a row loop, so
     every entry point makes one call per block.
 
-    evaluate() raises BudgetExhausted once the meter reaches the budget and
-    OutOfBounds for points outside the box; neither failure advances the
-    meter, and both are checked before fn is called.  The meter counts
-    returned values only: a call that raises, or a block function that
-    returns other than m values (ValueError), meters nothing of its block.
-    Values come back verbatim as Python floats, including non-finite ones.
+    evaluate_batch() (and so evaluate(), its one-row block) raises
+    BudgetExhausted once the meter would pass the budget and OutOfBounds
+    for points outside the box; neither failure advances the meter, and
+    both are checked before fn is called.  The meter counts returned
+    values only: a call that raises, or a block function that returns
+    other than m values (ValueError), meters nothing of its block.  Values
+    come back verbatim as Python floats, including non-finite ones.
 
     It owns its box: lower and upper are read-only copies, checked once
     here, that every run reads.  Its metadata is name, optimum_point (a
@@ -384,30 +386,6 @@ class Objective:
     def remaining(self) -> int:
         return self.budget - self.meter
 
-    def _metered(self, block: Array) -> list[float]:
-        # The budget, then the bounds, then one call on the block; the
-        # meter advances by its m rows only once the call returned m values.
-        m = len(block)
-        if self.meter + m > self.budget:
-            raise BudgetExhausted(
-                f"{m} evaluations asked for, {self.remaining} of {self.budget} left"
-            )
-        # The flattened block is compared with the bounds tiled to its
-        # size, which is cheaper than broadcasting the bounds over rows.
-        # A zero byte in either comparison marks a coordinate outside, NaN
-        # included, as it fails both; finding it costs no numpy reduction.
-        flat = block.ravel()
-        size, lower, upper = self._tiled
-        if size != flat.size:
-            reps = flat.size // self.lower.size
-            lower, upper = np.tile(self.lower, reps), np.tile(self.upper, reps)
-            self._tiled = (flat.size, lower, upper)
-        if b"\0" in (lower <= flat).tobytes() + (flat <= upper).tobytes():
-            raise OutOfBounds("point lies outside the objective's box")
-        values = _block_values(self._fn, block)
-        self.meter += m
-        return values
-
     def _point_block(self, x) -> Array:
         """The (1, D) block holding one point; ValueError unless x converts
         to a point of dimension D."""
@@ -417,27 +395,43 @@ class Objective:
         return x[np.newaxis]
 
     def evaluate(self, x) -> float:
-        """f(x) for one point, computed as the (1, D) block holding x.
-
-        The meter advances only when the function returns; if it raises,
-        the exception propagates and nothing is metered.
-        """
-        return self._metered(self._point_block(x))[0]
+        """f(x) for one point: evaluate_batch of the (1, D) block holding x,
+        so it is metered and fails exactly as that one-row block does."""
+        return self.evaluate_batch(self._point_block(x))[0]
 
     def evaluate_batch(self, points) -> list[float]:
         """f at each row of an (m, dim) block, metered as one step.
 
-        One shape, budget and bounds check covers the whole block, and the
+        The one place an evaluation is paid for.  The shape, then the
+        budget, then the bounds are checked for the whole block, and the
         function is called once on the block (a per-point function once per
-        row).  Every value is bit-identical to evaluate() on its row.  The
-        batch is all-or-nothing: the meter advances by m only when the call
-        returned m values; if it raises, the exception propagates and
-        nothing is metered.
+        row).  The batch is all-or-nothing: the meter advances by m only
+        when the call returned m values; if it raises, the exception
+        propagates and nothing is metered.
         """
         points = as_floats(points, "points")
         if points.ndim != 2 or points.shape[1] != self.lower.size:
             raise ValueError(f"expected an (m, {self.dim}) block of points")
-        return self._metered(points)
+        m = len(points)
+        if self.meter + m > self.budget:
+            raise BudgetExhausted(
+                f"{m} evaluations asked for, {self.remaining} of {self.budget} left"
+            )
+        # The flattened block is compared with the bounds tiled to its
+        # size, which is cheaper than broadcasting the bounds over rows.
+        # A zero byte in either comparison marks a coordinate outside, NaN
+        # included, as it fails both; finding it costs no numpy reduction.
+        flat = points.ravel()
+        size, lower, upper = self._tiled
+        if size != flat.size:
+            reps = flat.size // self.lower.size
+            lower, upper = np.tile(self.lower, reps), np.tile(self.upper, reps)
+            self._tiled = (flat.size, lower, upper)
+        if b"\0" in (lower <= flat).tobytes() + (flat <= upper).tobytes():
+            raise OutOfBounds("point lies outside the objective's box")
+        values = _block_values(self._fn, points)
+        self.meter += m
+        return values
 
     def raw(self, x) -> float:
         """Evaluate one point without metering or bounds checks (testing

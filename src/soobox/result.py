@@ -151,7 +151,8 @@ class RunLedger(TraceRecorder):
     The cap, fixed when the ledger is built, is the lesser of budget (a
     count >= 1; None for no limit) and objective.remaining; a bad argument
     raises ValueError.  A spent objective, or a request beyond the cap,
-    raises BudgetExhausted unmetered.
+    raises BudgetExhausted unmetered, and evaluate_batch raises ValueError
+    unmetered unless at holds one place per row of points.
     """
 
     __slots__ = ("objective", "cap")
@@ -181,7 +182,15 @@ class RunLedger(TraceRecorder):
         return value
 
     def evaluate_batch(self, points, at) -> list[float]:
-        self._pay(len(points))
+        m = len(points)
+        try:  # an iterator of places is read into a list first
+            at = at if hasattr(at, "__len__") else list(at)
+            places = len(at)
+        except TypeError:
+            raise ValueError(f"at must be {m} places, got {at!r}") from None
+        if places != m:
+            raise ValueError(f"{m} points need {m} places, got {places}")
+        self._pay(m)
         values = self.objective.evaluate_batch(points)
         self.extend(values, at)
         return values

@@ -2,10 +2,10 @@
 meters anything.
 
 Each parameter that carries a count, a dimension, a seed, a fraction, an
-exploration constant, a depth schedule, a function name, a box, a point
-or an objective is fed values from one pool: ints, bools, floats, numpy
-scalars, NaN, +/-inf, negatives, huge values, non-numbers and wrong-shape
-arrays.  A call must return or raise ValueError or SooboxError
+exploration constant, a depth schedule, a function name, a box, a point,
+a block's places or an objective is fed values from one pool: ints,
+bools, floats, numpy scalars, NaN, +/-inf, negatives, huge values,
+non-numbers and wrong-shape arrays.  A call must return or raise ValueError or SooboxError
 (UnknownFunction, BadDimension and InvalidBounds are both), and an
 Objective it was given must have meter == 0 after a raise.
 
@@ -183,6 +183,11 @@ CALLS = [
     ("Objective.raw", COORDS, lambda v, obj: obj.raw(v)),
     ("RunLedger-objective", SMALL, lambda v, obj: RunLedger(v)),
     ("RunLedger-budget", ANY, lambda v, obj: RunLedger(obj, v)),
+    # the places of a two-row block: only two of them are accepted
+    (
+        "RunLedger.evaluate_batch-at", COORDS,
+        lambda v, obj: RunLedger(obj).evaluate_batch(np.zeros((2, 2)), v),
+    ),
     ("PartitionTree-objective", SMALL, lambda v, obj: PartitionTree(v)),
     ("PartitionTree-params", ANY, lambda v, obj: PartitionTree(obj, v)),
     ("PartitionTree-eval_budget", ANY, lambda v, obj: PartitionTree(obj, eval_budget=v)),

@@ -37,8 +37,9 @@ class InjectedFault(Exception):
 class FaultyObjective(Objective):
     """A suite instance whose k-th function call misbehaves.
 
-    delivered counts the evaluations that evaluate and evaluate_batch
-    handed back to the optimizer; fired records whether call k happened.
+    delivered counts the evaluations that evaluate_batch handed back to
+    the optimizer (evaluate is its one-row block, so it passes through
+    here too); fired records whether call k happened.
     """
 
     def __init__(self, name: str, dim: int, budget: int, k: int, fault: str):
@@ -60,11 +61,6 @@ class FaultyObjective(Objective):
         )
         self.delivered = 0
         self.fired = False
-
-    def evaluate(self, x) -> float:
-        value = super().evaluate(x)
-        self.delivered += 1
-        return value
 
     def evaluate_batch(self, points) -> list[float]:
         values = super().evaluate_batch(points)

@@ -227,6 +227,30 @@ class TestEvaluateBatch:
         single = make_objective(name, 10, budget=6)
         assert batch.evaluate_batch(points) == [single.evaluate(p) for p in points]
         assert batch.meter == single.meter == 6
+        # evaluate(x) is evaluate_batch(x[np.newaxis]) step by step: the same
+        # value or exception type, and the same meter, on a face, outside the
+        # box, with a NaN coordinate and once the budget is spent
+        face, outside, nan = points[0].copy(), points[0].copy(), points[0].copy()
+        face[1], outside[2], nan[3] = 5.0, -5.0000001, math.nan
+        batch = make_objective(name, 10, budget=2)
+        single = make_objective(name, 10, budget=2)
+
+        def outcome(step, x):
+            try:
+                return float, step(x)
+            except Exception as exc:
+                return type(exc), None
+
+        outcomes = []
+        for x in (face, outside, nan, points[1], points[2]):
+            one = outcome(single.evaluate, x)
+            block = outcome(lambda x: batch.evaluate_batch(x[np.newaxis])[0], x)
+            assert one == block and single.meter == batch.meter
+            outcomes.append((one[0], single.meter))
+        assert outcomes == [
+            (float, 1), (OutOfBounds, 1), (OutOfBounds, 1),
+            (float, 2), (BudgetExhausted, 2),
+        ]
 
     def test_meter_advances_once_by_the_block(self):
         obj = make_objective("sphere", 2, budget=5)
@@ -767,6 +791,26 @@ class TestRunCap:
         assert result.trace is ledger.entries
         assert (result.f_star, result.split_ids.tolist()) == (obj.optimum_value, [])
         assert result.split_ids.typecode == "q"
+
+    @pytest.mark.parametrize("places", [[0, 1], [0, 1, 2, 3], iter([0, 1]), 3, None])
+    def test_ledger_needs_one_place_per_row(self, places):
+        # zipping values with too few places used to meter every row but
+        # record fewer, so the meter and the trace came apart
+        obj = make_objective("sphere", 2, budget=10)
+        ledger = RunLedger(obj, 10)
+        with pytest.raises(ValueError):
+            ledger.evaluate_batch(np.zeros((3, 2)), places)
+        assert obj.meter == len(ledger.entries) == 0
+        assert ledger.left == obj.remaining == 10
+
+    def test_ledger_reads_an_iterator_of_places(self):
+        obj = make_objective("sphere", 2, budget=10)
+        ledger = RunLedger(obj, 10)
+        points = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+        values = ledger.evaluate_batch(points, (place for place in "abc"))
+        assert obj.meter == len(ledger.entries) == 3
+        assert ledger.left == obj.remaining == 7
+        assert ledger.incumbent == "abc"[values.index(min(values))]
 
     @pytest.mark.parametrize(
         "run, raises",

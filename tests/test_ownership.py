@@ -4,9 +4,11 @@ Every optimizer pays for and records its evaluations through a RunLedger
 (src/soobox/result.py), so the objective's meter and the run's trace move
 in one step.  This reads the package source and fails when any other
 module meters an objective itself, fixes a cap of its own, builds a
-trace or a RunResult, or records a value outside the ledger.
+trace or a RunResult, or records a value outside the ledger, and when
+the meter moves anywhere but Objective.evaluate_batch.
 """
 
+import ast
 import io
 import re
 import tokenize
@@ -42,6 +44,27 @@ def test_only_the_owner_calls(pattern, owners):
         if re.search(pattern, line)
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_one_meter_step():
+    # the meter moves on one line of the package, in Objective.evaluate_batch:
+    # evaluate is its one-row block, and no helper meters on its behalf
+    hits = [
+        (path, number)
+        for path in SOURCES
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\.meter\s*\+=", line)
+    ]
+    assert len(hits) == 1, hits
+    path, number = hits[0]
+    owners = [
+        f"{cls.name}.{fn.name}"
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.lineno <= number <= fn.end_lineno
+    ]
+    assert (path.name, owners) == ("objectives.py", ["Objective.evaluate_batch"])
 
 
 def test_one_ucb_index():
