@@ -57,6 +57,7 @@ class ArmStats:
         self._pulls_view.flags.writeable = False
         # {pull count: [(-mean, arm), ...] sorted}, built at the first pick
         self._groups: dict[int, list[tuple[float, int]]] | None = None
+        self._unpulled = n_arms  # arms with no pull yet, kept by update
         self.t = 0
 
     @property
@@ -89,6 +90,8 @@ class ArmStats:
         self._pulls[arm] = n + 1
         self._sums[arm] = total + reward
         self.t += 1
+        if not n:
+            self._unpulled -= 1
         groups = self._groups
         if groups is not None:
             old, new = total / n, (total + reward) / (n + 1)
@@ -156,9 +159,8 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     """
     check_type(stats, ArmStats, "stats")
     c = check_exploration(c)
-    pulls = stats.pulls
-    if np.count_nonzero(pulls) < len(pulls):
-        raise UnpulledArm(f"arm {int(pulls.argmin())} has no observations")
+    if stats._unpulled:
+        raise UnpulledArm(f"arm {int(stats.pulls.argmin())} has no observations")
     return stats.ucb_arm(c)
 
 

@@ -182,7 +182,10 @@ class RunLedger(TraceRecorder):
         return value
 
     def evaluate_batch(self, points, at) -> list[float]:
-        m = len(points)
+        try:
+            m = len(points)
+        except TypeError:  # a scalar, a 0-d array, None
+            raise ValueError(f"points must be an (m, D) block, got {points!r}") from None
         try:  # an iterator of places is read into a list first
             at = at if hasattr(at, "__len__") else list(at)
             places = len(at)

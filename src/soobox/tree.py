@@ -23,19 +23,25 @@ depth, depth[j + 1] (depth[0] is the root's 0).  So cell id's interval
 is edges[id - 1 + j] .. edges[id + j], its depth is
 depth[(id + S - 1) // S], and per cell the tree keeps only the value and
 the leaf flag.  The columns are array("d"), array("I"), array("q") and a
-bytearray, so no slot holds a float or int object.  A leaf's heap entry
-is one int, (_order(value) << bits) | id, where bits is the bit length
-of the last id the run's cap allows: keys sort by value, then by id, so
-of tied values the earliest cell comes first.  A NaN or +/-inf leaf,
-which no sweep splits, has none.  A cell's midpoint is rebuilt by
-walking its nearest min(depth, D) ancestors, itself included, which cut
-distinct dimensions ((depth - 1) % D downward), and taking the root box
-for the rest; it is (lower + upper) / 2 in Python floats, bit-identical
-to the same numpy arithmetic.  The split dimension is depth % D.  A
-split's walk builds only the leaf's midpoint and its interval along the
-split dimension; the S - 1 fresh children are evaluated at their
-midpoints, the leaf's midpoint with the split coordinate replaced, as
-one block, and the middle child keeps the leaf's value unevaluated.
+bytearray, so no slot holds a float or int object.  Each depth's heap
+holds one entry per sibling group, the S children of one split or the
+root alone: its smallest (value, id) finite leaf's key, one int,
+(_order(value) << bits) | id, where bits is the bit length of the last
+id the run's cap allows.  Keys sort by value, then by id, so of tied
+values the earliest cell comes first, and a depth's best leaf is the
+least of its groups' entries.  So the heaps hold at most one key per
+split plus the root's, and a 10-D protocol run peaks at 63 B per
+evaluation under tracemalloc, against 92 B with a key per finite leaf.
+A NaN or +/-inf leaf, which no sweep splits, is no entry.  A cell's
+midpoint is rebuilt by walking its nearest min(depth, D) ancestors,
+itself included, which cut distinct dimensions ((depth - 1) % D
+downward), and taking the root box for the rest; it is
+(lower + upper) / 2 in Python floats, bit-identical to the same numpy
+arithmetic.  The split dimension is depth % D.  A split's walk builds
+only the leaf's midpoint and its interval along the split dimension;
+the S - 1 fresh children are evaluated at their midpoints, the leaf's
+midpoint with the split coordinate replaced, as one block, and the
+middle child keeps the leaf's value unevaluated.
 tree.cells[k] makes one such walk that also fills in the corners, and
 returns a Cell record, a snapshot that later splits do not change.
 
@@ -52,7 +58,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -199,10 +205,13 @@ class PartitionTree:
     """Partition state plus the evaluation trace for one run.
 
     Leaves with finite values are tracked per depth in min-heaps of packed
-    int keys, (_order(value) << bits) | id, which sort as (value, id), so
-    each sweep touches only the depths it visits and never rescans the
-    whole frontier.  A sweep pops the leaf it splits only after split_leaf
-    returns; stale entries from direct split_leaf calls are dropped lazily.
+    int keys, (_order(value) << bits) | id, which sort as (value, id), one
+    per sibling group: its smallest finite leaf.  So each sweep touches
+    only the depths it visits and never rescans the whole frontier.  Only
+    after split_leaf returns does a sweep put the group's next finite leaf
+    in place of the one it split, or pop the entry when none is left; an
+    entry whose leaf a direct split_leaf call split moves on the same way
+    once a sweep finds it on top.
 
     Nothing is counted twice: the best-so-far trace is the run's one
     evaluation ledger, so eval_count is its length; max_leaf_depth is the
@@ -340,12 +349,37 @@ class PartitionTree:
         self._is_leaf.extend(b"\1" * s)
         self._is_leaf[leaf_id] = False
         self.split_log.append(leaf_id)
-        # heaps grow last: of the orders measured, this left the lowest peak RSS
-        heap, bits = self._heaps.setdefault(depth + 1, []), self._bits
-        for cid, value in enumerate(values, start=n):
-            if math.isfinite(value):
-                heappush(heap, (_order(value) << bits) | cid)
+        # heaps grow last: of the orders measured, this left the lowest peak
+        # RSS; the new group's entry is its best finite child
+        heap = self._heaps.setdefault(depth + 1, [])
+        key = self._group_key(n, n + s)
+        if key is not None:
+            heappush(heap, key)
         return list(range(n, n + s))
+
+    def _group_key(self, first: int, end: int) -> int | None:
+        """The key of the smallest (value, id) finite leaf among cells
+        first .. end - 1, or None: strict < keeps the earliest of ties,
+        and NaN passes neither comparison."""
+        values, is_leaf = self._value, self._is_leaf
+        best, cid = math.inf, -1
+        for i in range(first, end):
+            value = values[i]
+            if -math.inf < value < best and is_leaf[i]:
+                best, cid = value, i
+        return None if cid < 0 else (_order(best) << self._bits) | cid
+
+    def _advance(self, heap: list[int]) -> None:
+        """Put the next entry of its sibling group in place of heap[0],
+        whose cell was split, or pop it when the group has no finite leaf
+        left; the root's group is the root alone."""
+        cid = heap[0] & self._mask
+        first = cid - (cid - 1) % self.params.s_children if cid else 0
+        key = self._group_key(first, first + self.params.s_children if cid else 1)
+        if key is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, key)
 
     def sweep(self) -> list[int]:
         """One pass over the depths; returns the ids of the cells split.
@@ -368,17 +402,18 @@ class PartitionTree:
         # value does; every key undercuts the start
         v_min = math.inf
         for depth in range(cap + 1):
-            # the best leaf at this depth, lazily dropping split cells
+            # the best leaf at this depth, lazily advancing the entries of
+            # cells that direct split_leaf calls split
             heap = heaps[depth]
             while heap and not is_leaf[heap[0] & mask]:
-                heappop(heap)
+                self._advance(heap)
             if heap and heap[0] < v_min:
                 if not affordable:
                     return split_ids
                 cid = heap[0] & mask
                 v_min = heap[0] - cid
                 self.split_leaf(cid)
-                heappop(heap)
+                self._advance(heap)
                 affordable -= 1
                 split_ids.append(cid)
         return split_ids
@@ -434,4 +469,8 @@ def run_soo(
     if not math.isfinite(tree.trace.best_value):
         raise ObjectiveDegenerate("every evaluated point was non-finite")
 
-    return tree.trace.result(tree.incumbent(), tree.split_log)
+    # the tree ends here, so the result takes its split log rather than a
+    # copy made while every column and heap is still alive
+    result = tree.trace.result(tree.incumbent())
+    result.split_ids = tree.split_log
+    return result

@@ -3,7 +3,7 @@ meters anything.
 
 Each parameter that carries a count, a dimension, a seed, a fraction, an
 exploration constant, a depth schedule, a function name, a box, a point,
-a block's places or an objective is fed values from one pool: ints,
+a block, its places or an objective is fed values from one pool: ints,
 bools, floats, numpy scalars, NaN, +/-inf, negatives, huge values,
 non-numbers and wrong-shape arrays.  A call must return or raise ValueError or SooboxError
 (UnknownFunction, BadDimension and InvalidBounds are both), and an
@@ -111,6 +111,15 @@ def _split_tree():
     return tree
 
 
+def _places(points):
+    # one place per row wherever points has a length, so the block itself,
+    # not a count mismatch, is what the ledger refuses
+    try:
+        return range(len(points))
+    except TypeError:
+        return ()
+
+
 def _flagged(vectorized):
     # a block function for vectorized=True and a per-point one otherwise,
     # so a bool flag evaluates, and any other flag must be refused
@@ -183,6 +192,10 @@ CALLS = [
     ("Objective.raw", COORDS, lambda v, obj: obj.raw(v)),
     ("RunLedger-objective", SMALL, lambda v, obj: RunLedger(v)),
     ("RunLedger-budget", ANY, lambda v, obj: RunLedger(obj, v)),
+    (
+        "RunLedger.evaluate_batch-points", COORDS,
+        lambda v, obj: RunLedger(obj).evaluate_batch(v, _places(v)),
+    ),
     # the places of a two-row block: only two of them are accepted
     (
         "RunLedger.evaluate_batch-at", COORDS,

@@ -141,6 +141,16 @@ class TestUcbSelect:
         with pytest.raises(UnpulledArm):
             ucb_select(ArmStats(1))
 
+    def test_unpulled_arm_named_until_every_arm_is_pulled(self):
+        # update counts the arms with no pull; the error names the first
+        stats = ArmStats(3)
+        for arm, first_unpulled in [(1, 0), (1, 0), (0, 2)]:
+            stats.update(arm, 0.5)
+            with pytest.raises(UnpulledArm, match=f"arm {first_unpulled} "):
+                ucb_select(stats)
+        stats.update(2, 0.25)
+        assert ucb_select(stats) in (0, 1, 2)
+
     def test_argmax_invariant_under_mean_shift(self):
         base = stats_from([(0.3, 5), (0.4, 10), (0.1, 2)])
         shifted = stats_from([(10.3, 5), (10.4, 10), (10.1, 2)])
@@ -206,11 +216,12 @@ def pulled_stats(draw):
     )
     stats = ArmStats(len(arms))
     # the private arrays, before the first pick builds the groups from them:
-    # `pulls` is a read-only view
+    # `pulls` is a read-only view; every arm has a pull, so none is unpulled
     for arm, (total, pulls) in enumerate(arms):
         stats._sums[arm] = total
         stats._pulls[arm] = pulls
     stats.t = sum(pulls for _, pulls in arms)
+    stats._unpulled = 0
     return stats
 
 

@@ -556,11 +556,11 @@ class TestSweep:
     @pytest.mark.parametrize("s", [3, 5])
     @pytest.mark.parametrize("n_sweeps", [1, 4, 12])
     def test_failed_split_in_sweep_changes_nothing(self, s, n_sweeps):
-        # A sweep pops the leaf it splits only once split_leaf returns: when
-        # the objective raises inside that split, every depth heap, the
-        # split log, the meter and the trace stay as they were, and the
-        # next sweep on a working objective splits the same leaf as a twin
-        # tree that never failed.
+        # A sweep moves the entry of the leaf it splits only once split_leaf
+        # returns: when the objective raises inside that split, every depth
+        # heap, the split log, the meter and the trace stay as they were,
+        # and the next sweep on a working objective splits the same leaf as
+        # a twin tree that never failed.
         armed = [False]
 
         def fn(x):
@@ -581,7 +581,8 @@ class TestSweep:
 
         obj, tree = grown()
         twin_obj, twin = grown()
-        # sweeps pop what they split, so the heaps hold leaves only
+        # sweeps move the entry of each leaf they split on, so the heaps
+        # hold leaves only
         assert all(
             tree.cells[entry & tree._mask].is_leaf
             for h in tree._heaps.values()
@@ -675,6 +676,165 @@ class TestHeapKeys:
         entries = [key & tree._mask for heap in tree._heaps.values() for key in heap]
         assert entries
         assert [cid for cid in entries if not math.isfinite(tree._value[cid])] == []
+
+
+# =============================================================================
+# One depth-heap entry per sibling group
+# =============================================================================
+
+
+def _group(tree, cid):
+    """The first id of cid's sibling group; the root's group is the root."""
+    return cid - (cid - 1) % tree.params.s_children if cid else 0
+
+
+def _leaf_depth(tree, cid):
+    return tree._depth[(cid + tree.params.s_children - 1) // tree.params.s_children]
+
+
+def best_group_keys(tree):
+    """Brute force, {depth: {group: key}}: each sibling group with a finite
+    leaf, keyed by its smallest (value, id) finite leaf."""
+    best = {}
+    for cid, value in enumerate(tree._value):
+        if tree._is_leaf[cid] and math.isfinite(value):
+            groups = best.setdefault(_leaf_depth(tree, cid), {})
+            group = _group(tree, cid)
+            if group not in groups or (value, cid) < groups[group]:
+                groups[group] = (value, cid)
+    return {
+        depth: {g: (_order(v) << tree._bits) | cid for g, (v, cid) in groups.items()}
+        for depth, groups in best.items()
+    }
+
+
+def check_group_heaps(tree):
+    """Each depth heap is a heap of one key per sibling group with a finite
+    leaf, its smallest (value, id) finite leaf's.  A key whose cell a direct
+    split_leaf call split stays until a sweep reaches it: it undercuts its
+    group's next key, or its group has no finite leaf left."""
+    expected = best_group_keys(tree)
+    assert set(expected) <= set(tree._heaps)
+    for depth, heap in tree._heaps.items():
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+        want, held, groups = expected.get(depth, {}), {}, []
+        for key in heap:
+            cid = key & tree._mask
+            group = _group(tree, cid)
+            groups.append(group)
+            if tree._is_leaf[cid]:
+                held[group] = key
+            elif group in want:
+                assert key < want[group]
+                held[group] = want[group]
+        assert len(set(groups)) == len(groups)
+        assert held == want
+
+
+def brute_force_sweep(tree):
+    """A sweep whose leaf at each depth is the argmin of (value, id) over
+    that depth's finite leaves, split through split_leaf."""
+    s = tree.params.s_children
+    cap = min(tree.max_leaf_depth, max_depth(tree.eval_count, tree.params.depth_schedule))
+    affordable = tree.trace.left // (s - 1)
+    split_ids, v_min = [], math.inf
+    for depth in range(cap + 1):
+        finite = [
+            (value, cid)
+            for cid, value in enumerate(tree._value)
+            if tree._is_leaf[cid] and math.isfinite(value)
+            and _leaf_depth(tree, cid) == depth
+        ]
+        if finite and min(finite)[0] < v_min:
+            if not affordable:
+                break
+            v_min, cid = min(finite)
+            tree.split_leaf(cid)
+            affordable -= 1
+            split_ids.append(cid)
+    return split_ids
+
+
+def _special_fn(salt):
+    """Stateless values from a CRC of the point's bytes: few levels, signed
+    zeros that tie, NaN and +/-inf."""
+    levels = [0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf]
+
+    def fn(x):
+        return levels[zlib.crc32(np.asarray(x, dtype=float).tobytes(), salt) % 8]
+
+    return fn
+
+
+class TestGroupHeaps:
+    """A depth heap holds one entry per sibling group, the group's best
+    finite leaf, however sweeps and direct split_leaf calls interleave."""
+
+    @given(
+        data=st.data(),
+        s=st.sampled_from([3, 5]),
+        dim=st.integers(1, 3),
+        salt=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sweeps_and_direct_splits_keep_one_entry_per_group(self, data, s, dim, salt):
+        params = SooParams(s_children=s)
+        tree, twin = (
+            PartitionTree(unit_objective(_special_fn(salt), dim, budget=200), params)
+            for _ in range(2)
+        )
+        check_group_heaps(tree)
+        for _ in range(data.draw(st.integers(1, 30))):
+            step = data.draw(st.sampled_from(["sweep", "entry", "sibling", "leaf"]))
+            if step == "sweep":
+                assert tree.sweep() == brute_force_sweep(twin)
+            elif tree.trace.left >= s - 1:
+                entries = [
+                    key & tree._mask for heap in tree._heaps.values() for key in heap
+                ]
+                entries = [cid for cid in entries if tree._is_leaf[cid]]
+                if step == "entry":
+                    pool = entries
+                else:
+                    pool = [cid for cid in range(len(tree._value)) if tree._is_leaf[cid]]
+                    if step == "sibling":
+                        groups = {_group(tree, cid) for cid in entries}
+                        pool = [
+                            cid for cid in pool
+                            if _group(tree, cid) in groups and cid not in entries
+                        ]
+                if pool:
+                    cid = data.draw(st.sampled_from(pool))
+                    assert tree.split_leaf(cid) == twin.split_leaf(cid)
+            check_group_heaps(tree)
+        assert tree.split_log == twin.split_log
+
+    def test_direct_split_of_an_entry_waits_for_the_sweep(self):
+        # 1-D x: the depth-1 group's entry is its left child, id 1; splitting
+        # it directly leaves its key in place until the next sweep moves the
+        # entry to id 2, the group's next leaf, splits it and moves on to 3
+        obj = linear_objective()
+        tree = new_tree((obj.lower, obj.upper), obj)
+        assert tree.sweep() == [0]
+        (key,) = tree._heaps[1]
+        assert key & tree._mask == 1
+        tree.split_leaf(1)
+        assert tree._heaps[1] == [key]
+        check_group_heaps(tree)
+        assert tree.sweep() == [2, 4]
+        assert [k & tree._mask for k in tree._heaps[1]] == [3]
+        check_group_heaps(tree)
+
+    def test_heaps_hold_at_most_one_key_per_split(self):
+        # one key per sibling group with a finite leaf, the root's included:
+        # at most one more than the splits, where a key per finite leaf
+        # was about one per evaluation (19,999 here)
+        tree = PartitionTree(make_objective("sphere", 10, budget=20000), eval_budget=20000)
+        while tree.sweep():
+            pass
+        assert tree.eval_count > 19000
+        keys = sum(len(heap) for heap in tree._heaps.values())
+        assert keys <= len(tree.split_log) + 1
 
 
 # =============================================================================
@@ -777,13 +937,14 @@ class TestRunSoo:
 
     @pytest.mark.parametrize("s", [3, 5, 7])
     def test_peak_bytes_per_evaluation(self, s):
-        # A split stores its edges and child depth once, a cell its value,
-        # leaf flag and one packed int heap key, and the result's
-        # split_ids is an array("q") copy of the split log: this 10-D run
-        # peaks at 80-96 B per evaluation under tracemalloc (CPython 3.11,
-        # S = 7..3), against 93-108 B with each cell's own interval and
-        # depth, 97-123 B with a tuple of int objects, 171-217 B with float
-        # lists and (value, id) tuples, and 431-554 B with each cell's box.
+        # A split stores its edges, child depth and at most one packed int
+        # heap key once, a cell its value and leaf flag, and the result
+        # takes the tree's split log: this 10-D run peaks at 43-68 B per
+        # evaluation under tracemalloc (CPython 3.11, S = 7..3), against
+        # 80-96 B with one heap key per finite leaf, 93-108 B with each
+        # cell's own interval and depth, 97-123 B with a tuple of int
+        # objects, 171-217 B with float lists and (value, id) tuples, and
+        # 431-554 B with each cell's box.
         obj = make_objective("sphere", 10, budget=5000)
         tracemalloc.start()
         try:
@@ -791,7 +952,7 @@ class TestRunSoo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / result.evals_used < 110
+        assert peak / result.evals_used < 80
 
     def test_a_finished_run_keeps_16_bytes_per_evaluation(self):
         # Once run_soo returns, the tree is gone and the result is what is
