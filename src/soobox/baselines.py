@@ -164,11 +164,6 @@ def ucb_select(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
     return stats.ucb_arm(c)
 
 
-def next_arm(stats: ArmStats, c: float = DEFAULT_EXPLORATION) -> int:
-    """The arm to pull next: one pull per arm in index order, then ucb_select."""
-    return stats.t if stats.t < stats.n_arms else ucb_select(stats, c)
-
-
 # ---------------------------------------------------------------------------
 # fixed-horizon bandit runner
 # ---------------------------------------------------------------------------
@@ -197,10 +192,11 @@ def run_ucb(
     k = len(reward_sources)
     stats = ArmStats(k)
     check_count(horizon, "horizon", k)
-    check_exploration(c)
+    c = check_exploration(c)
     history: list[tuple[int, float]] = []
-    for _ in range(horizon):
-        arm = next_arm(stats, c)
+    for t in range(horizon):
+        # one pull per arm in index order, then the UCB pick
+        arm = t if t < k else stats.ucb_arm(c)
         history.append((arm, stats.update(arm, reward_sources[arm]())))
     return UcbRun(history=history, stats=stats)
 

@@ -8,9 +8,11 @@ at a tenth of the initial scale.  The coefficients are fixed at the
 textbook values (reflect 1, expand 2, contract 0.5, shrink 0.5); the
 initial simplex offsets each axis by 5% of the box side, and the search
 stops once the simplex's values span at most 1e-12.  The search pays for
-its evaluations and keeps its incumbent in its own RunLedger, the same
-best-so-far rule as every run's trace: the earliest of the smallest
-values, non-finite sorting last.
+its evaluations in blocks through its own RunLedger: the initial simplex,
+the restart and each shrink as one block each, every other step as a
+one-row block.  The ledger keeps its incumbent by the same best-so-far
+rule as every run's trace: the earliest of the smallest values,
+non-finite sorting last.
 
 The hybrid entry point reserves a fixed fraction of the total budget up
 front, runs the global stage on the remainder, then spends the reserve
@@ -88,9 +90,11 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
     max_evals must cover the initial simplex (dim + 1 points).  The best
     point ever evaluated is returned, so the result value never exceeds
     f(x0).  The cap is its RunLedger's, from max_evals; a search stopped
-    by a cap below max_evals has budget_exhausted set.  x0 is the first point
-    evaluated, so a start outside the box raises OutOfBounds from the
-    objective's own bounds check, with nothing metered.
+    by a cap below max_evals has budget_exhausted set.  A block the cap
+    cuts short is paid up to the cap, in row order, and the search stops.
+    x0 is the first row of the initial simplex's block, so a start outside
+    the box raises OutOfBounds from the objective's own bounds check, with
+    nothing metered; an objective that raises meters none of its block.
     """
     check_type(objective, Objective, "objective")
     lower = objective.lower
@@ -102,17 +106,23 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
     ledger = RunLedger(objective, check_count(max_evals, "max_evals", dim + 1))
     exhausted = False
 
-    def evaluate(x: Array) -> float:
-        if not ledger.left:
+    def pay(block: Array) -> list[float]:
+        """f at block's rows, paid as one block; _Stop once the cap cuts it."""
+        left = ledger.left
+        if not left:
             raise _Stop
-        return ledger.evaluate(x, x.copy())
+        cut = block[:left]
+        # each row is recorded as a view: no paid block is written to again,
+        # as each pass reorders verts into a fresh array before it writes
+        values = ledger.evaluate_batch(cut, cut)
+        if len(cut) < len(block):
+            raise _Stop
+        return values
 
     restarts = 0
     try:
         verts = _offset_simplex(x0, _INIT_SCALE, lower, upper)
-        fvals = np.empty(dim + 1)
-        for i in range(dim + 1):
-            fvals[i] = evaluate(verts[i])
+        fvals = np.array(pay(verts))
         init_logvol = _simplex_logvol(verts)
         degeneracy_floor = init_logvol + math.log(_DEGENERACY_RATIO)
         check_every = max(10, dim)
@@ -134,16 +144,15 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
                     verts = _offset_simplex(
                         verts[0], _INIT_SCALE * _RESTART_SCALE, lower, upper
                     )
-                    for i in range(1, dim + 1):
-                        fvals[i] = evaluate(verts[i])
+                    fvals[1:] = pay(verts[1:])
                     continue
 
             centroid = verts[:-1].mean(axis=0)
             xr = np.clip(centroid + _ALPHA * (centroid - verts[-1]), lower, upper)
-            fr = evaluate(xr)
+            [fr] = pay(xr[np.newaxis])
             if fr < fvals[0]:
                 xe = np.clip(centroid + _GAMMA * (xr - centroid), lower, upper)
-                fe = evaluate(xe)
+                [fe] = pay(xe[np.newaxis])
                 if fe < fr:
                     verts[-1] = xe
                     fvals[-1] = fe
@@ -158,19 +167,18 @@ def nelder_mead(objective: Objective, x0, max_evals: int) -> NmResult:
                 # vertex); each has its own accept test, then one shrink
                 if fr < fvals[-1]:
                     xc = np.clip(centroid + _RHO * (xr - centroid), lower, upper)
-                    fc = evaluate(xc)
+                    [fc] = pay(xc[np.newaxis])
                     accept = fc <= fr
                 else:
                     xc = np.clip(centroid - _RHO * (centroid - verts[-1]), lower, upper)
-                    fc = evaluate(xc)
+                    [fc] = pay(xc[np.newaxis])
                     accept = fc < fvals[-1]
                 if accept:
                     verts[-1] = xc
                     fvals[-1] = fc
                 else:
-                    for i in range(1, dim + 1):
-                        verts[i] = verts[0] + _SIGMA * (verts[i] - verts[0])
-                        fvals[i] = evaluate(verts[i])
+                    verts[1:] = verts[0] + _SIGMA * (verts[1:] - verts[0])
+                    fvals[1:] = pay(verts[1:])
     except _Stop:
         exhausted = ledger.cap < max_evals
 

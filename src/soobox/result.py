@@ -151,8 +151,9 @@ class RunLedger(TraceRecorder):
     The cap, fixed when the ledger is built, is the lesser of budget (a
     count >= 1; None for no limit) and objective.remaining; a bad argument
     raises ValueError.  A spent objective, or a request beyond the cap,
-    raises BudgetExhausted unmetered, and evaluate_batch raises ValueError
-    unmetered unless at holds one place per row of points.
+    raises BudgetExhausted unmetered.  evaluate_batch, the one way to pay
+    (a single point is a one-row block), raises ValueError unmetered
+    unless at holds one place per row of points.
     """
 
     __slots__ = ("objective", "cap")
@@ -171,16 +172,6 @@ class RunLedger(TraceRecorder):
     def left(self) -> int:
         return self.cap - len(self.entries)
 
-    def _pay(self, m: int) -> None:
-        if m > self.cap - len(self.entries):
-            raise BudgetExhausted(f"need {m} evaluations, {self.left} left")
-
-    def evaluate(self, x, at) -> float:
-        self._pay(1)
-        value = self.objective.evaluate(x)
-        self.record(value, at)
-        return value
-
     def evaluate_batch(self, points, at) -> list[float]:
         try:
             m = len(points)
@@ -193,7 +184,8 @@ class RunLedger(TraceRecorder):
             raise ValueError(f"at must be {m} places, got {at!r}") from None
         if places != m:
             raise ValueError(f"{m} points need {m} places, got {places}")
-        self._pay(m)
+        if m > self.left:
+            raise BudgetExhausted(f"need {m} evaluations, {self.left} left")
         values = self.objective.evaluate_batch(points)
         self.extend(values, at)
         return values

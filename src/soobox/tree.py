@@ -240,7 +240,7 @@ class PartitionTree:
         self._mask = (1 << self._bits) - 1
 
         center = (lower + upper) / 2.0
-        value = self.trace.evaluate(center, 0)
+        [value] = self.trace.evaluate_batch(center[np.newaxis], (0,))
 
         self._root = (lower.tolist(), upper.tolist(), center.tolist())
         # by split dimension d, the dimensions cut along a path, nearest

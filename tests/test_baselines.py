@@ -22,7 +22,7 @@ from soobox import (
     run_ucb_grid,
     ucb_select,
 )
-from soobox.baselines import BLOCK, GRID_ARM_CAP, grid_divisions, next_arm
+from soobox.baselines import BLOCK, GRID_ARM_CAP, grid_divisions
 from soobox.objectives import check_exploration
 from soobox.result import TraceRecorder
 
@@ -353,7 +353,7 @@ class TestRunUcb:
         sources = bernoulli_arms([0.9, 0.1, 0.5], seed=seed)
         stats, history = ArmStats(3), []
         for _ in range(300):
-            arm = next_arm(stats)
+            arm = stats.t if stats.t < 3 else ucb_select(stats)
             reward = float(sources[arm]())
             stats.update(arm, reward)
             history.append((arm, reward))

@@ -781,9 +781,9 @@ class TestRunCap:
         # a request beyond the cap meters and records nothing
         with pytest.raises(BudgetExhausted):
             ledger.evaluate_batch(np.zeros((2, 2)), "cd")
-        ledger.evaluate(np.zeros(2), "c")
+        ledger.evaluate_batch(np.zeros((1, 2)), "c")
         with pytest.raises(BudgetExhausted):
-            ledger.evaluate(np.zeros(2), "d")
+            ledger.evaluate_batch(np.zeros((1, 2)), "d")
         assert obj.meter == len(ledger.entries) == 3
         assert ledger.left == 0
         assert ledger.incumbent == "a"  # a tie keeps the earlier place

@@ -4,8 +4,9 @@ Every optimizer pays for and records its evaluations through a RunLedger
 (src/soobox/result.py), so the objective's meter and the run's trace move
 in one step.  This reads the package source and fails when any other
 module meters an objective itself, fixes a cap of its own, builds a
-trace or a RunResult, or records a value outside the ledger, and when
-the meter moves anywhere but Objective.evaluate_batch.
+trace or a RunResult, or records a value outside the ledger, when any
+module calls a per-point evaluate, and when the meter moves anywhere but
+Objective.evaluate_batch.
 """
 
 import ast
@@ -23,6 +24,9 @@ SOURCES = sorted(Path(soobox.__file__).parent.glob("*.py"))
 # (pattern, the modules allowed to match it)
 RULES = [
     (r"objective\.evaluate(_batch)?\(", {"result.py"}),
+    # one evaluation path: every run pays in blocks, a point as a one-row
+    # block, so no module calls a per-point ledger or objective method
+    (r"\.evaluate\(", set()),
     (r"\.cap\(", set()),
     (r"TraceRecorder\(", {"result.py"}),
     (r"RunResult\(", {"result.py"}),
@@ -69,7 +73,7 @@ def test_one_meter_step():
 
 def test_one_ucb_index():
     # the UCB1 exploration term, c * ln t, is written once: in ArmStats.ucb_arm,
-    # which ucb_select and run_ucb_grid both call
+    # which ucb_select, run_ucb and run_ucb_grid call
     matches = [
         f"{path.name}:{number}"
         for path in SOURCES

@@ -51,6 +51,10 @@ ALLOWED = {
         "the unmetered oracle that tests compare the metered paths against"
     ),
     "baselines.ArmStats.means": "README documents it as every arm's mean",
+    "objectives.Objective.evaluate": (
+        "the user's one-point call, which bench/tracing.py wraps; every run "
+        "in the package pays through evaluate_batch"
+    ),
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1,5 +1,6 @@
 """Tests for the simplex refiner and the hybrid global+local driver."""
 
+import hashlib
 import math
 from array import array
 from fractions import Fraction
@@ -262,6 +263,105 @@ class TestNelderMead:
         result = nelder_mead(obj, start, max_evals=200)
         assert result.trace[-1] <= fn(start) + 1e-15
         assert np.all(result.point >= -5.0) and np.all(result.point <= 5.0)
+
+
+def _digest(nm) -> str:
+    """First 16 hex digits of the sha256 of the trace's and point's bytes."""
+    return hashlib.sha256(np.array(nm.trace).tobytes() + nm.point.tobytes()).hexdigest()[:16]
+
+
+class TestSimplexBlocks:
+    """The simplex, the restart and each shrink are paid as blocks.
+
+    rosenbrock is sums of products and squares, with no BLAS call, power
+    or transcendental function, so its values do not hang on the CPU's
+    kernels.  The pins are the results of the per-point search that the
+    block payments replaced, which evaluated the same points in order."""
+
+    # (function, dim, x0, objective budget, max_evals): meter, restarts,
+    # budget_exhausted, last trace value, _digest
+    PINNED = [
+        pytest.param(
+            "rosenbrock", 3, [5.0] * 3, 2, 2000,
+            2, 0, True, "0x1.c6d3570b3cd4ep+18", "9a5dd47756ea36da",
+            id="objective-cap-inside-the-simplex",
+        ),
+        pytest.param(
+            "rosenbrock", 3, [5.0] * 3, 2000, 21,
+            21, 1, False, "0x1.c05d6c1e60bd1p+9", "6ebc0875c357dfe1",
+            id="max-evals-inside-the-restart",
+        ),
+        pytest.param(
+            "rosenbrock", 3, [5.0] * 3, 22, 2000,
+            22, 1, True, "0x1.b330426c5beb0p+9", "a0bb37c2f22cc44f",
+            id="objective-cap-inside-the-restart",
+        ),
+        pytest.param(
+            "rosenbrock", 2, [5.0, 1.0], 16, 2000,
+            16, 0, True, "0x1.3afc2a58e4cbcp+8", "c2aef0dd348ab419",
+            id="objective-cap-inside-a-shrink",
+        ),
+        pytest.param(
+            "rosenbrock", 2, [5.0, 1.0], 2000, 2000,
+            176, 0, False, "0x1.2c00000000005p+8", "e8561f36660e6522",
+            id="face-start-to-tolerance",
+        ),
+        pytest.param(
+            "rosenbrock", 5, [5.0, 1.0, 1.0, 1.0, 1.0], 2000, 2000,
+            1233, 1, False, "0x1.2c00000000008p+8", "0b55fba96d499770",
+            id="face-start-with-a-restart",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, dim, x0, budget, max_evals, meter, restarts, exhausted, last, digest",
+        PINNED,
+    )
+    def test_pinned_runs(
+        self, name, dim, x0, budget, max_evals, meter, restarts, exhausted, last, digest
+    ):
+        obj = make_objective(name, dim, budget)
+        nm = nelder_mead(obj, x0, max_evals)
+        assert obj.meter == len(nm.trace) == meter
+        assert (nm.restarts, nm.budget_exhausted) == (restarts, exhausted)
+        assert nm.trace[-1].hex() == last
+        assert _digest(nm) == digest
+
+    @staticmethod
+    def _recording(budget: int = 10**4, raise_at: int = 0):
+        """rosenbrock in 2-D, per point, keeping each point it returns a
+        value for and raising on its raise_at-th point (0: never)."""
+        base = make_objective("rosenbrock", 2, budget)
+        seen = []
+
+        def fn(x):
+            if len(seen) + 1 == raise_at:
+                raise RuntimeError("fault inside a block")
+            seen.append(x.copy())
+            return base.raw(x)
+
+        return Objective(fn, base.lower, base.upper, budget), seen
+
+    def test_raise_inside_the_simplex_meters_none_of_it(self):
+        # the per-point search metered the simplex's first vertex first
+        obj, seen = self._recording(raise_at=2)
+        with pytest.raises(RuntimeError, match="fault inside a block"):
+            nelder_mead(obj, [5.0, 1.0], 2000)
+        assert len(seen) == 1
+        assert obj.meter == 0
+
+    def test_raise_inside_a_shrink_meters_none_of_it(self):
+        # the face start's first shrink pays evaluations 16 and 17 (see
+        # PINNED); a fault on 17 leaves the meter where a cap of 15 stops,
+        # after the same 15 points
+        obj, seen = self._recording(raise_at=17)
+        with pytest.raises(RuntimeError, match="fault inside a block"):
+            nelder_mead(obj, [5.0, 1.0], 2000)
+        assert len(seen) == 16
+        capped, capped_seen = self._recording(budget=15)
+        nm = nelder_mead(capped, [5.0, 1.0], 2000)
+        assert obj.meter == capped.meter == len(nm.trace) == 15
+        assert np.array_equal(seen[:15], capped_seen)
 
 
 # =============================================================================
